@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--memory-out", default=None, help="write memory JSONL")
     p_cert.add_argument("--radii", default=None,
                         help="comma-separated certified-accuracy grid (starts at 0)")
-    p_cert.add_argument("--workers", type=int, default=1)
     _add_cert_flags(p_cert)
     _add_opt_flags(p_cert)
 
@@ -125,8 +124,7 @@ def _cmd_certify(args) -> int:
                          classifier_path=args.classifier,
                          memory_in=args.memory_in, memory_out=args.memory_out,
                          report_csv=args.out,
-                         report_json=args.metrics_out or args.out + ".metrics.json",
-                         workers=args.workers)
+                         report_json=args.metrics_out or args.out + ".metrics.json")
     _, _, metrics = run_campaign(cfg)
     print(f"certified {metrics.n_inputs} inputs: ACR={metrics.acr:.6f} "
           f"abstain_rate={metrics.abstain_rate:.4f} "

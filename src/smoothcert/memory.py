@@ -8,14 +8,13 @@ the largest ball clear of the obstacle. Same-prediction overlaps are left
 untouched. Boundary contact does not count as overlap, which maximizes the
 retained radius and keeps the shrink formulas exact.
 
-L1 regions are stored and persisted; their overlap geometry is handled only
-in d = 1, where the interval formulas are exact. A cross-prediction L1
-overlap in higher dimension raises ``UnsupportedNormError``.
+The formulas hold for L2 and L1 balls in any dimension: by the triangle
+inequality a ball of radius R - ||c - c'|| at c' lies inside the ball of
+radius R at c, and balls with ||c - c'|| >= r + r' share no interior point.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -24,7 +23,6 @@ __all__ = [
     "CertifiedRegion",
     "MemoryStore",
     "MemoryInvariantError",
-    "UnsupportedNormError",
     "intersect",
     "largest_in_subset",
     "largest_out_subset",
@@ -46,10 +44,6 @@ class MemoryInvariantError(ValueError):
     """The store would contain overlapping differently-predicted regions."""
 
 
-class UnsupportedNormError(ValueError):
-    """Overlap geometry is not available for this norm/dimension."""
-
-
 @dataclass(frozen=True)
 class CertifiedRegion:
     """Closed ball with a prediction and the smoothing scale that produced it."""
@@ -62,6 +56,11 @@ class CertifiedRegion:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if not (all(map(math.isfinite, self.center)) and math.isfinite(self.radius)
+                and math.isfinite(self.sigma_used)):
+            raise ValueError(
+                "center, radius and sigma_used must be finite, got center="
+                f"{self.center}, radius={self.radius}, sigma_used={self.sigma_used}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.norm not in (NORM_L2, NORM_L1):
@@ -123,52 +122,19 @@ def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> floa
     return max(0.0, min(cand.radius, d - obstacle.radius))
 
 
-class _GridIndex:
-    """Uniform hash grid over centers; returns candidate supersets in order."""
-
-    def __init__(self, cell_size: float = 1.0):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        self.cell_size = float(cell_size)
-        self.cells: dict[tuple[int, ...], list[int]] = {}
-        self.max_radius = 0.0
-
-    def _cell(self, center) -> tuple[int, ...]:
-        return tuple(int(math.floor(v / self.cell_size)) for v in center)
-
-    def add(self, idx: int, region: CertifiedRegion) -> None:
-        self.cells.setdefault(self._cell(region.center), []).append(idx)
-        self.max_radius = max(self.max_radius, region.radius)
-
-    def candidates(self, region: CertifiedRegion, n_total: int) -> list[int]:
-        reach = region.radius + self.max_radius + self.cell_size
-        span = int(math.ceil(reach / self.cell_size))
-        base = self._cell(region.center)
-        d = len(base)
-        if (2 * span + 1) ** d >= n_total:
-            return list(range(n_total))
-        found: list[int] = []
-        for offs in itertools.product(range(-span, span + 1), repeat=d):
-            cell = tuple(b + o for b, o in zip(base, offs))
-            found.extend(self.cells.get(cell, ()))
-        return sorted(found)
-
-
 class MemoryStore:
     """Ordered region collection; single-writer, cross-prediction disjoint.
 
     Insertions are strictly serialized because overlap handling is order
-    sensitive; reads may run concurrently between insertions. The optional
-    grid index only prunes comparisons and never changes results.
+    sensitive; reads may run concurrently between insertions.
     """
 
-    def __init__(self, use_grid: bool = False, cell_size: float = 1.0):
+    def __init__(self):
         self.regions: list[CertifiedRegion] = []
         self.insertions = 0
         self.comparisons = 0
         self.overlap_events = 0
         self.adjusted_insertions = 0
-        self._grid = _GridIndex(cell_size) if use_grid else None
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -177,11 +143,6 @@ class MemoryStore:
         if not isinstance(other, MemoryStore):
             return NotImplemented
         return self.regions == other.regions
-
-    def _append(self, region: CertifiedRegion) -> None:
-        if self._grid is not None:
-            self._grid.add(len(self.regions), region)
-        self.regions.append(region)
 
 
 def memory_insert(store: MemoryStore, region: CertifiedRegion
@@ -199,18 +160,12 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
     cand = region
     adjusted = False
     overridden = False
-    if store._grid is not None:
-        candidate_idx = store._grid.candidates(region, len(store.regions))
-    else:
-        candidate_idx = range(len(store.regions))
-    for idx in candidate_idx:
-        entry = store.regions[idx]
+    for entry in store.regions:
         store.comparisons += 1
         if entry.prediction == cand.prediction:
             continue
         d = _distance(entry, cand)
         if d <= entry.radius:
-            _require_geometry(cand)
             new_r = max(0.0, min(cand.radius, entry.radius - d))
             if overridden and new_r < cand.radius - _INVARIANT_TOL:
                 raise MemoryInvariantError(
@@ -221,7 +176,6 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
             overridden = True
             store.overlap_events += 1
         elif d < entry.radius + cand.radius:
-            _require_geometry(cand)
             new_r = max(0.0, min(cand.radius, d - entry.radius))
             if overridden and new_r < cand.radius - _INVARIANT_TOL:
                 raise MemoryInvariantError(
@@ -230,18 +184,11 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
             cand = replace(cand, radius=new_r)
             adjusted = True
             store.overlap_events += 1
-    store._append(cand)
+    store.regions.append(cand)
     store.insertions += 1
     if adjusted:
         store.adjusted_insertions += 1
     return cand.prediction, cand, adjusted
-
-
-def _require_geometry(region: CertifiedRegion) -> None:
-    if region.norm == NORM_L1 and region.dim > 1:
-        raise UnsupportedNormError(
-            "cross-prediction overlap handling for L1 regions is only exact "
-            f"in d=1; got an overlapping pair in d={region.dim}")
 
 
 def _validate_invariant(regions: list[CertifiedRegion]) -> None:
@@ -264,7 +211,7 @@ def save_memory(store: MemoryStore, path) -> None:
                                  "norm": r.norm}) + "\n")
 
 
-def load_memory(path, use_grid: bool = False, cell_size: float = 1.0) -> MemoryStore:
+def load_memory(path) -> MemoryStore:
     """Read a JSON-lines memory file, re-validating the no-overlap invariant."""
     regions: list[CertifiedRegion] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -284,9 +231,8 @@ def load_memory(path, use_grid: bool = False, cell_size: float = 1.0) -> MemoryS
                 _check_compatible(regions[0], region)
             regions.append(region)
     _validate_invariant(regions)
-    store = MemoryStore(use_grid=use_grid, cell_size=cell_size)
-    for r in regions:
-        store._append(r)
+    store = MemoryStore()
+    store.regions = regions
     return store
 
 

@@ -3,17 +3,16 @@
 A campaign certifies every dataset row either at one fixed scale or with the
 per-input optimized scale ("ds" modes), feeding the resulting regions through
 the memory so differently-predicted certificates can never overlap. Per-input
-work is independent under counter-based seeds and may run in a parallel map;
-memory insertion and metric aggregation always happen afterwards in dataset
-order.
+work is independent under counter-based seeds; memory insertion and metric
+aggregation happen afterwards in dataset order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,6 +106,8 @@ def load_dataset(path) -> LabeledDataset:
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}: line {lineno}: features must be finite")
     if not rows:
         raise ValueError(f"{path}: dataset is empty")
     return LabeledDataset(np.asarray(rows), np.asarray(labels))
@@ -130,17 +131,16 @@ class CampaignConfig:
     memory_out: str | None = None
     report_csv: str | None = None
     report_json: str | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         grid = tuple(float(r) for r in self.radii_grid)
-        if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("radii grid must start at 0 and strictly increase")
+        if (not grid or grid[0] != 0.0 or not all(map(math.isfinite, grid))
+                or any(b <= a for a, b in zip(grid, grid[1:]))):
+            raise ValueError("radii grid must be finite, start at 0 and strictly "
+                             f"increase, got {grid}")
         object.__setattr__(self, "radii_grid", grid)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,7 @@ def run_campaign(cfg: CampaignConfig,
                          f"dim {classifier.dim}")
 
     indices = range(len(dataset))
-    if cfg.workers > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            phase1 = list(pool.map(
-                lambda i: _certify_one(classifier, dataset.points[i], cfg, i), indices))
-    else:
-        phase1 = [_certify_one(classifier, dataset.points[i], cfg, i) for i in indices]
+    phase1 = [_certify_one(classifier, dataset.points[i], cfg, i) for i in indices]
 
     records: list[CertRecord] = []
     norm = "l1" if cfg.mode == MODE_DS_L1 else "l2"

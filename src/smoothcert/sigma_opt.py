@@ -63,6 +63,12 @@ class SigmaOptConfig:
     p_clamp: float = P_CLAMP
 
     def __post_init__(self):
+        floats = (self.sigma0, self.step_alpha, self.sigma_min, self.sigma_max,
+                  self.fd_step, self.p_clamp)
+        if not np.all(np.isfinite(floats)):
+            raise ValueError(
+                "sigma0, step_alpha, sigma_min, sigma_max, fd_step and p_clamp "
+                f"must be finite, got {floats}")
         if not 0 < self.sigma_min <= self.sigma0 <= self.sigma_max:
             raise ValueError(
                 f"need 0 < sigma_min <= sigma0 <= sigma_max, got "

@@ -61,8 +61,8 @@ class GaussianCertConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.n_cert < self.n0:

@@ -1,8 +1,8 @@
 """Standard-normal special functions and exact binomial statistics.
 
-Everything in this module is a pure function built on the stdlib ``math``
-module only, so the confidence bounds stay portable and easy to audit.
-Monte Carlo probability estimates produced elsewhere must pass through
+Thin validated wrappers: the normal quantile and the Clopper-Pearson bound
+come from ``scipy.special``, the CDF and density from ``math``. Monte Carlo
+probability estimates produced elsewhere must pass through
 ``clamp_probability`` before reaching ``std_normal_quantile``, which is
 singular at 0 and 1.
 """
@@ -10,6 +10,9 @@ singular at 0 and 1.
 from __future__ import annotations
 
 import math
+
+import numpy as np
+from scipy import special as sps
 
 __all__ = [
     "P_CLAMP",
@@ -27,8 +30,6 @@ P_CLAMP = 1e-4
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-_BISECT_ITERS = 100
-
 
 def std_normal_cdf(z: float) -> float:
     """Phi(z), the standard normal CDF, via the complementary error function."""
@@ -44,48 +45,12 @@ def std_normal_pdf(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-# Acklam's rational approximation to the normal quantile (peak error ~1.2e-9),
-# polished below with one Newton step against std_normal_cdf.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log1p(-p))
-    return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-        ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-
-
 def std_normal_quantile(p: float) -> float:
-    """Phi^{-1}(p) for p strictly inside (0, 1).
-
-    Rational approximation refined with one Newton step, so the composition
-    Phi(Phi^{-1}(p)) round-trips to well below 1e-10 across (1e-9, 1-1e-9).
-    """
+    """Phi^{-1}(p) for p strictly inside (0, 1)."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    z = _acklam(p)
-    dens = std_normal_pdf(z)
-    if dens > 0.0:
-        z -= (std_normal_cdf(z) - p) / dens
-    return z
+    return float(sps.ndtri(p))
 
 
 def clamp_probability(p: float, clamp: float = P_CLAMP) -> float:
@@ -106,55 +71,13 @@ def _validate_counts(k: int, n: int) -> tuple[int, int]:
     return k, n
 
 
-def _log_binom_pmf(k: int, n: int, p: float) -> float:
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            + k * math.log(p) + (n - k) * math.log1p(-p))
-
-
-def _binom_tail_upper(k: int, n: int, p: float) -> float:
-    """P(X >= k) for X ~ Bin(n, p), exact summation with a log-space lead term.
-
-    The sum runs over whichever tail is shorter (upper tail directly, or one
-    minus the lower tail) and stops once terms stop contributing at double
-    precision, so it stays cheap for n up to 1e6.
-    """
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    odds = p / (1.0 - p)
-    if k > n * p:
-        total = 1.0
-        term = 1.0
-        for i in range(k, n):
-            term *= (n - i) / (i + 1.0) * odds
-            total += term
-            if term <= total * 1e-18:
-                break
-        return min(1.0, math.exp(_log_binom_pmf(k, n, p)) * total)
-    j = k - 1
-    total = 1.0
-    term = 1.0
-    for i in range(j, 0, -1):
-        term *= i / ((n - i + 1.0) * odds)
-        total += term
-        if term <= total * 1e-18:
-            break
-    return max(0.0, 1.0 - math.exp(_log_binom_pmf(j, n, p)) * total)
-
-
 def binom_lower_confidence(k: int, n: int, alpha: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound on a binomial proportion.
 
     Returns the largest p such that observing k or more successes out of n
     still has probability alpha under Bin(n, p); equivalently, the bound
-    satisfies P(p <= p_true) >= 1 - alpha over repeated experiments. Computed
-    by bisection on the exact binomial tail, with no special-function
-    dependency.
+    satisfies P(p <= p_true) >= 1 - alpha over repeated experiments. That p
+    is the alpha quantile of Beta(k, n - k + 1).
     """
     k, n = _validate_counts(k, n)
     alpha = float(alpha)
@@ -162,14 +85,7 @@ def binom_lower_confidence(k: int, n: int, alpha: float) -> float:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     if k == 0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _binom_tail_upper(k, n, mid) > alpha:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(sps.betaincinv(k, n - k + 1, alpha))
 
 
 def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
@@ -183,11 +99,8 @@ def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
     p0 = float(p0)
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"p0 must lie strictly in (0, 1), got {p0!r}")
-    log_pk = _log_binom_pmf(k, n, p0)
-    thresh = log_pk + 1e-7
-    total = 0.0
-    for i in range(n + 1):
-        lp = _log_binom_pmf(i, n, p0)
-        if lp <= thresh:
-            total += math.exp(lp)
-    return min(1.0, total)
+    i = np.arange(n + 1)
+    log_pmf = (sps.gammaln(n + 1) - sps.gammaln(i + 1) - sps.gammaln(n - i + 1)
+               + i * math.log(p0) + (n - i) * math.log1p(-p0))
+    total = np.exp(log_pmf[log_pmf <= log_pmf[k] + 1e-7]).sum()
+    return min(1.0, float(total))

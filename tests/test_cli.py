@@ -1,10 +1,15 @@
 """Command-line surface: flags, exit codes, and file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothcert
 from smoothcert.classifiers import probit_halfspace_classifier, save_classifier
 from smoothcert.cli import cli_main
 from smoothcert.synthetic import make_two_clusters, save_dataset_csv
@@ -53,6 +58,14 @@ class TestCertify:
         tmp, data, clf = workspace
         code = cli_main(certify_args(data, tmp / "missing.json", tmp / "r.csv"))
         assert code == 1
+
+    def test_non_finite_flag_fails_before_writing(self, workspace):
+        tmp, data, clf = workspace
+        out = tmp / "r.csv"
+        code = cli_main(certify_args(data, clf, out)
+                        + ["--alpha-step", "inf"])
+        assert code == 1
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, workspace):
         tmp, data, clf = workspace
@@ -149,3 +162,15 @@ class TestTrainDemo:
         assert len(payload["runs"]) == 1
         text = capsys.readouterr().out
         assert "acr_fixed" in text and "acr_ds" in text
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about a second of start-up; only scipy.special is used
+    src = str(Path(smoothcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, smoothcert.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothcert.memory import (CertifiedRegion, MemoryInvariantError,
-                               MemoryStore, UnsupportedNormError, audit,
+                               MemoryStore, audit,
                                intersect, largest_in_subset, largest_out_subset,
                                load_memory, memory_insert, save_memory)
 
@@ -55,6 +55,15 @@ class TestRegion:
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError):
             region((0.0,), 0.5, 0, norm="linf")
+
+    @pytest.mark.parametrize("center,radius,sigma", [
+        ((math.nan, 0.0), 0.5, 0.25), ((0.0, math.inf), 0.5, 0.25),
+        ((0.0, 0.0), math.nan, 0.25), ((0.0, 0.0), math.inf, 0.25),
+        ((0.0, 0.0), 0.5, math.nan), ((0.0, 0.0), 0.5, -math.inf),
+    ])
+    def test_non_finite_rejected(self, center, radius, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            region(center, radius, 0, sigma=sigma)
 
 
 class TestIntersect:
@@ -219,11 +228,29 @@ class TestMemoryInsert:
                                               region((0.5,), 0.8, 1, norm="l1"))
         assert adjusted and pred == 0 and final.radius == pytest.approx(0.5)
 
-    def test_l1_high_dim_overlap_unsupported(self):
-        store = MemoryStore()
-        memory_insert(store, region((0.0, 0.0), 1.0, 0, norm="l1"))
-        with pytest.raises(UnsupportedNormError):
-            memory_insert(store, region((0.5, 0.0), 0.8, 1, norm="l1"))
+    def test_l1_high_dim_overlaps_stay_disjoint(self):
+        # crowded inserts force override and shrink events; no sampled point
+        # may lie strictly inside two differently-predicted L1 balls
+        for d in (2, 3, 4):
+            rng = np.random.default_rng(40 + d)
+            store = MemoryStore()
+            for _ in range(30):
+                memory_insert(store, region(rng.uniform(-1.5, 1.5, size=d),
+                                            rng.uniform(0.2, 1.5),
+                                            int(rng.integers(0, 3)), norm="l1"))
+            assert store.overlap_events > 0
+            centers = np.array([r.center for r in store.regions])
+            radii = np.array([r.radius for r in store.regions])
+            preds = np.array([r.prediction for r in store.regions])
+            pts = np.concatenate([mc_points_in_ball(r.center, r.radius, 200, rng,
+                                                    norm="l1")
+                                  for r in store.regions if r.radius > 0])
+            dist = np.abs(pts[:, None, :] - centers[None, :, :]).sum(axis=2)
+            inside = dist < radii[None, :] - 1e-12
+            for p in np.unique(preds):
+                in_p = inside[:, preds == p].any(axis=1)
+                in_other = inside[:, preds != p].any(axis=1)
+                assert not np.any(in_p & in_other)
 
     def test_l1_high_dim_disjoint_fine(self):
         store = MemoryStore()
@@ -271,20 +298,6 @@ class TestMemoryInsert:
                              for r in other.regions)
                 assert got == reference
 
-    def test_grid_index_matches_naive(self):
-        rng = np.random.default_rng(31)
-        for d in (1, 2, 3):
-            seqs = [region(rng.uniform(-4, 4, size=d), rng.uniform(0.0, 1.5),
-                           int(rng.integers(0, 3))) for _ in range(40)]
-            naive = MemoryStore()
-            indexed = MemoryStore(use_grid=True, cell_size=0.8)
-            for r in seqs:
-                res_a = memory_insert(naive, r)
-                res_b = memory_insert(indexed, r)
-                assert res_a == res_b
-            assert naive == indexed
-            assert indexed.comparisons <= naive.comparisons
-
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -322,6 +335,16 @@ class TestPersistence:
             '"sigma": 0.25, "norm": "l2"}\n'
             'not json\n')
         with pytest.raises(ValueError, match="line 2"):
+            load_memory(path)
+
+    def test_non_finite_radius_names_line(self, tmp_path):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0], "radius": 1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n'
+            '{"center": [0.5], "radius": NaN, "prediction": 1, '
+            '"sigma": 0.25, "norm": "l2"}\n')
+        with pytest.raises(ValueError, match="line 2.*finite"):
             load_memory(path)
 
 

@@ -34,6 +34,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SigmaOptConfig(sigma0=0.25, grad_mode="newton")
 
+    @pytest.mark.parametrize("field", ["sigma0", "step_alpha", "sigma_min",
+                                       "sigma_max", "fd_step", "p_clamp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SigmaOptConfig(**{"sigma0": 0.25, field: value})
+
 
 class TestOptimizeSigma:
     def test_zero_iterations(self):

@@ -29,6 +29,11 @@ class TestConfigAndOutcome:
         with pytest.raises(ValueError):
             GaussianCertConfig(sigma=0.5, alpha_fail=1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianCertConfig(sigma=sigma)
+
     def test_outcome_invariants(self):
         with pytest.raises(ValueError):
             CertificationOutcome(ABSTAIN, 0.5, 0.4, 0.25, "l2", 100)
