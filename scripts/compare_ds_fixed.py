@@ -38,7 +38,7 @@ def main() -> int:
                                   n_cert=args.n_cert, alpha_fail=0.001,
                                   seed=seed)
         opt = SigmaOptConfig(sigma0=args.sigma0, step_alpha=0.05,
-                             iters_k=args.iters, n_samples=32, seed=seed)
+                             iters_k=args.iters, n_samples=32)
         for mode in (MODE_FIXED, MODE_DS):
             cfg = CampaignConfig(mode=mode, cert=cert, opt=opt,
                                  radii_grid=radii)

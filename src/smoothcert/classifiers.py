@@ -60,9 +60,16 @@ def as_point(x) -> np.ndarray:
 
 def validate_simplex(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < -SIMPLEX_ATOL) or abs(float(p.sum()) - 1.0) > SIMPLEX_ATOL:
+    if (not np.all(np.isfinite(p)) or np.any(p < -SIMPLEX_ATOL)
+            or abs(float(p.sum()) - 1.0) > SIMPLEX_ATOL):
         raise ValueError(f"not a simplex vector: {p}")
     return p
+
+
+def _require_finite(**params) -> None:
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -161,6 +168,7 @@ def affine_softmax_classifier(weights, bias) -> ClassifierHandle:
     b = np.asarray(bias, dtype=float)
     if W.ndim != 2 or b.shape != (W.shape[0],):
         raise ValueError("weights must be (k, d) and bias (k,)")
+    _require_finite(weights=W, bias=b)
     k, d = W.shape
 
     def probs_fn(points):
@@ -181,6 +189,7 @@ def hard_halfspace_classifier(w, b: float) -> ClassifierHandle:
     if not np.linalg.norm(w) > 0:
         raise ValueError("w must be nonzero")
     b = float(b)
+    _require_finite(b=b)
 
     def probs_fn(points):
         ind = (points @ w > b).astype(float)
@@ -196,6 +205,7 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
     if not np.linalg.norm(w) > 0:
         raise ValueError("w must be nonzero")
     b, s = float(b), float(s)
+    _require_finite(b=b, s=s)
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
 
@@ -216,8 +226,8 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
 def nested_ball_classifier(rho: float, dim: int) -> ClassifierHandle:
     """Hard binary classifier: class 1 iff ||x||_2 <= rho (value-only)."""
     rho = float(rho)
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
     def probs_fn(points):
         ind = (np.linalg.norm(points, axis=1) <= rho).astype(float)
@@ -308,6 +318,7 @@ class TinyMLP:
 
 
 def mlp_classifier(mlp: TinyMLP) -> ClassifierHandle:
+    _require_finite(w1=mlp.w1, b1=mlp.b1, w2=mlp.w2, b2=mlp.b2)
     return ClassifierHandle("mlp", mlp.dim, mlp.num_classes,
                             mlp.probs, mlp.input_grads, params={}, backend=mlp)
 

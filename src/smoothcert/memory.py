@@ -63,6 +63,8 @@ class CertifiedRegion:
                 f"{self.center}, radius={self.radius}, sigma_used={self.sigma_used}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if self.prediction < 0:
+            raise ValueError(f"prediction must be a class index >= 0, got {self.prediction}")
         if self.norm not in (NORM_L2, NORM_L1):
             raise ValueError(f"unknown norm {self.norm!r}")
         if len(self.center) < 1:

@@ -13,12 +13,12 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classifiers import ClassifierHandle
-from .memory import CertifiedRegion, MemoryStore, audit, memory_insert, save_memory
+from .memory import CertifiedRegion, MemoryStore, memory_insert, save_memory
 from .sigma_opt import SigmaOptConfig, optimize_sigma
 from .smoothing import (ABSTAIN, GaussianCertConfig, certify_l1, certify_l2,
                         draw_noise, rng_for_input)
@@ -176,22 +176,16 @@ class CertRecord:
 
 def _certify_one(c, x, cfg: CampaignConfig, idx: int) -> tuple:
     """Per-input phase-1 work: certify (optimizing the scale first in ds modes)."""
-    seed = cfg.cert.seed
+    cert_rng = rng_for_input(cfg.cert.seed, idx, _STREAM_CERT)
     if cfg.mode == MODE_FIXED:
-        out = certify_l2(c, x, cfg.cert, rng=rng_for_input(seed, idx, _STREAM_CERT))
-        return out, cfg.cert.sigma
-    opt_rng = rng_for_input(seed, idx, _STREAM_OPT)
+        return certify_l2(c, x, cfg.cert, rng=cert_rng), cfg.cert.sigma
+    kind = "uniform" if cfg.mode == MODE_DS_L1 else "gaussian"
+    noise = draw_noise(rng_for_input(cfg.cert.seed, idx, _STREAM_OPT),
+                       cfg.opt.n_samples, c.dim, kind)
+    scale, _ = optimize_sigma(c, x, cfg.opt, noise=noise)
     if cfg.mode == MODE_DS:
-        noise = draw_noise(opt_rng, cfg.opt.n_samples, c.dim, "gaussian")
-        sigma_star, _ = optimize_sigma(c, x, cfg.opt, noise=noise, norm="l2")
-        cert = replace(cfg.cert, sigma=sigma_star)
-        out = certify_l2(c, x, cert, rng=rng_for_input(seed, idx, _STREAM_CERT))
-        return out, sigma_star
-    noise = draw_noise(opt_rng, cfg.opt.n_samples, c.dim, "uniform")
-    lam_star, _ = optimize_sigma(c, x, cfg.opt, noise=noise, norm="l1")
-    out = certify_l1(c, x, lam_star, cfg.cert,
-                     rng=rng_for_input(seed, idx, _STREAM_CERT))
-    return out, lam_star
+        return certify_l2(c, x, replace(cfg.cert, sigma=scale), rng=cert_rng), scale
+    return certify_l1(c, x, scale, cfg.cert, rng=cert_rng), scale
 
 
 def run_campaign(cfg: CampaignConfig,
@@ -228,13 +222,12 @@ def run_campaign(cfg: CampaignConfig,
     phase1 = [_certify_one(classifier, dataset.points[i], cfg, i) for i in indices]
 
     records: list[CertRecord] = []
-    norm = "l1" if cfg.mode == MODE_DS_L1 else "l2"
     for i, (out, sigma_star) in zip(indices, phase1):
         prediction, radius, adjusted = out.prediction, out.radius, False
         if cfg.mode != MODE_FIXED and not out.abstained:
             region = CertifiedRegion(center=tuple(dataset.points[i]),
                                      radius=out.radius, prediction=out.prediction,
-                                     sigma_used=sigma_star, norm=norm)
+                                     sigma_used=sigma_star, norm=out.norm)
             prediction, final_region, adjusted = memory_insert(memory, region)
             radius = final_region.radius
         records.append(CertRecord(idx=i, label=int(dataset.labels[i]),

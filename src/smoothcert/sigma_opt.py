@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ClassifierHandle, DerivativeUnsupportedError, as_point
-from .smoothing import (NOISE_GAUSSIAN, NOISE_UNIFORM, NoiseBatch, draw_noise,
-                        proxy_radius, proxy_radius_l1, soft_means)
+from .classifiers import ClassifierHandle, as_point
+from .smoothing import NOISE_UNIFORM, NoiseBatch, draw_noise, plugin_radii
 from .stats import P_CLAMP, clamp_probability, std_normal_pdf, std_normal_quantile
 
 __all__ = [
@@ -38,9 +37,6 @@ GRAD_SCALAR_FD = "scalar_fd"
 RETURN_FAITHFUL = "faithful"
 RETURN_BEST_ITERATE = "best_iterate"
 
-NORM_L2 = "l2"
-NORM_L1 = "l1"
-
 
 @dataclass(frozen=True)
 class SigmaOptConfig:
@@ -48,7 +44,9 @@ class SigmaOptConfig:
 
     ``faithful`` return mode hands back the final iterate; ``best_iterate``
     returns the trace argmax, which is guaranteed not to fall below the
-    starting radius under the shared noise batch.
+    starting radius under the shared noise batch. ``seed`` only seeds the
+    noise ``optimize_sigma`` draws when given neither noise nor a generator;
+    campaigns pass noise drawn from ``rng_for_input(cert.seed, idx, 1)``.
     """
     sigma0: float
     step_alpha: float = 1e-4
@@ -60,15 +58,14 @@ class SigmaOptConfig:
     return_mode: str = RETURN_FAITHFUL
     seed: int = 0
     fd_step: float = 1e-3
-    p_clamp: float = P_CLAMP
 
     def __post_init__(self):
         floats = (self.sigma0, self.step_alpha, self.sigma_min, self.sigma_max,
-                  self.fd_step, self.p_clamp)
+                  self.fd_step)
         if not np.all(np.isfinite(floats)):
             raise ValueError(
-                "sigma0, step_alpha, sigma_min, sigma_max, fd_step and p_clamp "
-                f"must be finite, got {floats}")
+                "sigma0, step_alpha, sigma_min, sigma_max and fd_step must be "
+                f"finite, got {floats}")
         if not 0 < self.sigma_min <= self.sigma0 <= self.sigma_max:
             raise ValueError(
                 f"need 0 < sigma_min <= sigma0 <= sigma_max, got "
@@ -123,15 +120,43 @@ class SigmaTrace:
                    if a.top_class != b.top_class)
 
 
-def _proxy(c, x, scale, noise, p_clamp, norm):
-    if norm == NORM_L2:
-        return proxy_radius(c, x, scale, noise, p_clamp)
-    return proxy_radius_l1(c, x, scale, noise)
+def _score(c, x, sigma: float, noise: NoiseBatch, mode: str, fd_step: float,
+           slope: bool = True) -> tuple[float, int, float | None]:
+    """Plug-in radius, top class and (if ``slope``) its scale derivative at sigma.
+
+    The radius and both secant points come from one ``plugin_radii`` call;
+    the analytic slope adds one ``input_grads`` call at sigma.
+    """
+    h = min(fd_step * max(1.0, sigma), 0.5 * sigma)
+    fd = slope and mode == GRAD_SCALAR_FD
+    r, top, runner, psi = plugin_radii(c, x, [sigma, sigma + h, sigma - h] if fd
+                                       else [sigma], noise)
+    r0, a = float(r[0]), int(top[0])
+    if not slope:
+        return r0, a, None
+    if fd:
+        return r0, a, float((r[1] - r[2]) / (2.0 * h))
+    return r0, a, _analytic_slope(c, x, sigma, noise, psi[0], a, int(runner[0]))
+
+
+def _analytic_slope(c, x, sigma, noise, psi, a, b) -> float:
+    """Chain-rule slope from the means psi at sigma, top class a, runner-up b."""
+    grads = c.input_grads(x[None, :] + sigma * noise.draws)  # (n, k, d)
+    eprime = np.einsum("nd,nkd->k", noise.draws, grads) / len(noise)
+    if noise.kind == NOISE_UNIFORM:
+        return float((psi[a] - psi[b]) + sigma * (eprime[a] - eprime[b]))
+    za = std_normal_quantile(clamp_probability(psi[a]))
+    zb = std_normal_quantile(clamp_probability(psi[b]))
+    g = 0.5 * (za - zb)
+    if P_CLAMP < psi[a] < 1.0 - P_CLAMP:
+        g += 0.5 * sigma * eprime[a] / std_normal_pdf(za)
+    if P_CLAMP < psi[b] < 1.0 - P_CLAMP:
+        g -= 0.5 * sigma * eprime[b] / std_normal_pdf(zb)
+    return float(g)
 
 
 def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
-               mode: str, fd_step: float = 1e-3, p_clamp: float = P_CLAMP,
-               norm: str = NORM_L2) -> float:
+               mode: str, fd_step: float = 1e-3) -> float:
     """Derivative of the plug-in radius with respect to the noise scale.
 
     ``scalar_fd`` takes a central difference of the realized objective with
@@ -139,74 +164,40 @@ def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
     for L2, dR/ds = (Phi^{-1}(E_A) - Phi^{-1}(E_B)) / 2
                    + s/2 * (E_A' / phi(Phi^{-1}(E_A)) - E_B' / phi(Phi^{-1}(E_B)))
     with E_c' the mean of eps_i . grad f^c over the batch; a clamped mean
-    contributes zero slope, matching the differentiated objective.
+    contributes zero slope, matching the differentiated objective. The norm
+    follows the noise kind.
     """
-    x = as_point(x)
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if mode == GRAD_SCALAR_FD:
-        h = min(fd_step * max(1.0, sigma), 0.5 * sigma)
-        hi, _ = _proxy(c, x, sigma + h, noise, p_clamp, norm)
-        lo, _ = _proxy(c, x, sigma - h, noise, p_clamp, norm)
-        return float((hi - lo) / (2.0 * h))
-    if mode != GRAD_ANALYTIC:
+    if mode not in (GRAD_ANALYTIC, GRAD_SCALAR_FD):
         raise ValueError(f"unknown grad mode {mode!r}")
-    if c.grad_fn is None:
-        raise DerivativeUnsupportedError(
-            f"analytic gradient requested but classifier kind={c.kind!r} "
-            "provides no derivatives")
-    psi = soft_means(c, x, sigma, noise)
-    top = int(np.argmax(psi))
-    rest = psi.copy()
-    rest[top] = -1.0
-    runner = int(np.argmax(rest))
-    pts = x[None, :] + sigma * noise.draws
-    grads = c.input_grads(pts)  # (n, k, d)
-    eprime = np.einsum("nd,nkd->k", noise.draws, grads) / len(noise)
-    if norm == NORM_L1:
-        return float((psi[top] - psi[runner])
-                     + sigma * (eprime[top] - eprime[runner]))
-    ea = clamp_probability(psi[top], p_clamp)
-    eb = clamp_probability(psi[runner], p_clamp)
-    za = std_normal_quantile(ea)
-    zb = std_normal_quantile(eb)
-    g = 0.5 * (za - zb)
-    if p_clamp < psi[top] < 1.0 - p_clamp:
-        g += 0.5 * sigma * eprime[top] / std_normal_pdf(za)
-    if p_clamp < psi[runner] < 1.0 - p_clamp:
-        g -= 0.5 * sigma * eprime[runner] / std_normal_pdf(zb)
-    return float(g)
+    return _score(c, as_point(x), float(sigma), noise, mode, fd_step)[2]
 
 
 def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
                    noise: NoiseBatch | None = None,
-                   rng: np.random.Generator | None = None,
-                   norm: str = NORM_L2) -> tuple[float, SigmaTrace]:
+                   rng: np.random.Generator | None = None) -> tuple[float, SigmaTrace]:
     """K steps of projected gradient ascent on the plug-in radius.
 
     One noise batch is drawn up front and shared by every iteration (the
     standardized draws do not depend on the scale), each step is projected
     onto [sigma_min, sigma_max], and the top class is re-resolved at every
-    iterate; flips are visible in the trace.
+    iterate; flips are visible in the trace. The norm follows the noise
+    kind; without noise a gaussian (L2) batch is drawn. Each iterate costs
+    one classifier call, plus one gradient call in analytic mode.
     """
     x = as_point(x)
-    if norm not in (NORM_L2, NORM_L1):
-        raise ValueError(f"unknown norm {norm!r}")
     if noise is None:
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
-        kind = NOISE_GAUSSIAN if norm == NORM_L2 else NOISE_UNIFORM
-        noise = draw_noise(rng, cfg.n_samples, c.dim, kind)
+        noise = draw_noise(rng, cfg.n_samples, c.dim)
     sigma = float(np.clip(cfg.sigma0, cfg.sigma_min, cfg.sigma_max))
-    r, top = _proxy(c, x, sigma, noise, cfg.p_clamp, norm)
-    trace = SigmaTrace([TraceEntry(0, sigma, r, top)])
-    for k in range(1, cfg.iters_k + 1):
-        g = grad_sigma(c, x, sigma, noise, cfg.grad_mode,
-                       fd_step=cfg.fd_step, p_clamp=cfg.p_clamp, norm=norm)
-        sigma = float(np.clip(sigma + cfg.step_alpha * g, cfg.sigma_min, cfg.sigma_max))
-        r, top = _proxy(c, x, sigma, noise, cfg.p_clamp, norm)
+    trace = SigmaTrace()
+    for k in range(cfg.iters_k + 1):
+        r, top, g = _score(c, x, sigma, noise, cfg.grad_mode, cfg.fd_step,
+                           slope=k < cfg.iters_k)
         trace.entries.append(TraceEntry(k, sigma, r, top))
+        if g is not None:
+            sigma = float(np.clip(sigma + cfg.step_alpha * g, cfg.sigma_min,
+                                  cfg.sigma_max))
     if cfg.return_mode == RETURN_BEST_ITERATE:
         return trace.best().sigma, trace
     return sigma, trace
@@ -235,24 +226,18 @@ def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0,
 def grid_search_sigma(c: ClassifierHandle, x, n_samples: int, budget: int,
                       sigma_grid_max: float = 1.0, sigma_floor: float = 1e-3,
                       noise: NoiseBatch | None = None,
-                      rng: np.random.Generator | None = None,
-                      norm: str = NORM_L2) -> float:
+                      rng: np.random.Generator | None = None) -> float:
     """Crude baseline: evaluate the plug-in radius on an even grid of scales.
 
-    Every grid point is scored with the same noise batch, keeping the total
-    number of classifier evaluations at exactly ``budget``. Returns the
-    argmax scale (earliest grid point on ties).
+    Every grid point is scored with the same noise batch in one classifier
+    call, keeping the total number of point evaluations at exactly
+    ``budget``. Returns the argmax scale (earliest grid point on ties). The
+    norm follows the noise kind; without noise a gaussian batch is drawn.
     """
-    x = as_point(x)
     grid = sigma_grid(n_samples, budget, sigma_grid_max, sigma_floor)
     if noise is None:
         if rng is None:
             rng = np.random.default_rng(0)
-        kind = NOISE_GAUSSIAN if norm == NORM_L2 else NOISE_UNIFORM
-        noise = draw_noise(rng, n_samples, c.dim, kind)
-    best_sigma, best_r = None, -np.inf
-    for s in grid:
-        r, _ = _proxy(c, x, float(s), noise, P_CLAMP, norm)
-        if r > best_r:
-            best_sigma, best_r = float(s), r
-    return best_sigma
+        noise = draw_noise(rng, n_samples, c.dim)
+    radii, _, _, _ = plugin_radii(c, x, grid, noise)
+    return float(grid[int(np.argmax(radii))])

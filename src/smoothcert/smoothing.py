@@ -2,7 +2,8 @@
 
 Gaussian noise yields L2 certificates, coordinate-wise uniform noise yields
 L1 certificates. The plug-in radius used inside the scale optimizer lives
-here too; it shares the sampling conventions but is *not* a sound bound.
+here too; it shares the sampling conventions but is *not* a sound bound, and
+``plugin_radii`` scores it at many scales with one classifier call.
 
 Sampling is counter-based: every (seed, input_index, stream) triple maps to
 an independent deterministic stream, so certification of distinct inputs can
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierHandle, as_point
-from .stats import (P_CLAMP, binom_lower_confidence, binom_two_sided_pvalue,
+from .stats import (binom_lower_confidence, binom_two_sided_pvalue,
                     clamp_probability, std_normal_quantile)
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "smooth_predict",
     "certify_l2",
     "certify_l1",
+    "plugin_radii",
     "proxy_radius",
     "proxy_radius_l1",
 ]
@@ -116,13 +118,9 @@ def rng_for_input(seed: int, input_index: int, stream: int = 0) -> np.random.Gen
 
 def draw_noise(rng: np.random.Generator, n: int, dim: int,
                kind: str = NOISE_GAUSSIAN) -> NoiseBatch:
-    if kind == NOISE_GAUSSIAN:
-        draws = rng.standard_normal((n, dim))
-    elif kind == NOISE_UNIFORM:
-        draws = rng.uniform(-1.0, 1.0, size=(n, dim))
-    else:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return NoiseBatch(kind, draws)
+    if kind == NOISE_UNIFORM:
+        return NoiseBatch(kind, rng.uniform(-1.0, 1.0, size=(n, dim)))
+    return NoiseBatch(kind, rng.standard_normal((n, dim)))  # rejects unknown kinds
 
 
 def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
@@ -140,21 +138,18 @@ def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
     remaining = int(n)
     while remaining > 0:
         m = min(_VOTE_BATCH, remaining)
-        if kind == NOISE_GAUSSIAN:
-            draws = rng.standard_normal((m, c.dim))
-        else:
-            draws = rng.uniform(-1.0, 1.0, size=(m, c.dim))
+        draws = draw_noise(rng, m, c.dim, kind).draws
         votes = np.argmax(c.probs(x[None, :] + scale * draws), axis=1)
         counts += np.bincount(votes, minlength=c.num_classes)
         remaining -= m
     return counts
 
 
-def _top_two(counts: np.ndarray) -> tuple[int, int]:
-    top = int(np.argmax(counts))
-    rest = counts.copy()
-    rest[top] = -1
-    return top, int(np.argmax(rest))
+def _top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and runner-up index along the last axis; ties go to the lowest."""
+    top = np.argmax(values, axis=-1)
+    rest = np.where(np.arange(values.shape[-1]) == top[..., None], -np.inf, values)
+    return top, np.argmax(rest, axis=-1)
 
 
 def smooth_predict(c: ClassifierHandle, x, cfg: GaussianCertConfig,
@@ -168,7 +163,7 @@ def smooth_predict(c: ClassifierHandle, x, cfg: GaussianCertConfig,
     if rng is None:
         rng = rng_for_input(cfg.seed, input_index)
     counts = vote_counts(c, x, cfg.sigma, cfg.n0, rng)
-    top, runner = _top_two(counts)
+    top, runner = map(int, _top_two(counts))
     n_two = int(counts[top] + counts[runner])
     if n_two == 0:
         return ABSTAIN
@@ -224,40 +219,46 @@ def certify_l1(c: ClassifierHandle, x, lam: float, cfg: GaussianCertConfig,
     return _certify(c, x, float(lam), cfg, NOISE_UNIFORM, NORM_L1, rng)
 
 
-def soft_means(c: ClassifierHandle, x, scale: float, noise: NoiseBatch) -> np.ndarray:
-    """Sample mean of the soft classifier outputs at x + scale * draws."""
+def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):
+    """Plug-in (non-sound) radius at every scale, from one classifier call.
+
+    With E_A, E_B the top-two mean soft outputs at x + s * draws, the radius
+    is s/2 * (Phi^{-1}(E_A) - Phi^{-1}(E_B)) for gaussian noise (means
+    clamped away from {0, 1} first) and s * (E_A - E_B) for uniform noise.
+    Returns (radii, top, runner, means), one row per scale; ties in the
+    means go to the lowest class.
+    """
     x = as_point(x)
+    scales = np.asarray(scales, dtype=float)
+    if scales.ndim != 1 or not np.all(scales > 0):
+        raise ValueError(f"scales must be a 1-D array of positive values, got {scales}")
     if x.size != c.dim or noise.draws.shape[1] != c.dim:
         raise ValueError("noise/point dimension mismatch with classifier")
-    return c.probs(x[None, :] + scale * noise.draws).mean(axis=0)
+    pts = x + scales[:, None, None] * noise.draws  # (s, n, d)
+    probs = c.probs(pts.reshape(-1, c.dim)).reshape(len(scales), len(noise), -1)
+    means = probs.mean(axis=1)
+    top, runner = _top_two(means)
+    rows = np.arange(len(scales))
+    if noise.kind == NOISE_UNIFORM:
+        return scales * (means[rows, top] - means[rows, runner]), top, runner, means
+    z = std_normal_quantile(clamp_probability(means))
+    return 0.5 * scales * (z[rows, top] - z[rows, runner]), top, runner, means
 
 
-def proxy_radius(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
-                 p_clamp: float = P_CLAMP) -> tuple[float, int]:
-    """Plug-in (non-sound) L2 radius from sample means, used by the optimizer.
+def _one_scale(c, x, scale, noise, kind) -> tuple[float, int]:
+    if noise.kind != kind:
+        raise ValueError(f"expected {kind} noise, got {noise.kind}")
+    r, top, _, _ = plugin_radii(c, x, [scale], noise)
+    return float(r[0]), int(top[0])
 
-    R = sigma/2 * (Phi^{-1}(E_A) - Phi^{-1}(E_B)) with E_A, E_B the top-two
-    mean soft outputs, clamped away from {0, 1} before the quantile.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if noise.kind != NOISE_GAUSSIAN:
-        raise ValueError("proxy_radius expects gaussian noise")
-    psi = soft_means(c, x, sigma, noise)
-    top, runner = _top_two(psi)
-    ea = clamp_probability(psi[top], p_clamp)
-    eb = clamp_probability(psi[runner], p_clamp)
-    r = 0.5 * sigma * (std_normal_quantile(ea) - std_normal_quantile(eb))
-    return float(r), top
+
+def proxy_radius(c: ClassifierHandle, x, sigma: float,
+                 noise: NoiseBatch) -> tuple[float, int]:
+    """Plug-in L2 radius and top class at one scale under gaussian noise."""
+    return _one_scale(c, x, sigma, noise, NOISE_GAUSSIAN)
 
 
 def proxy_radius_l1(c: ClassifierHandle, x, lam: float,
                     noise: NoiseBatch) -> tuple[float, int]:
-    """Plug-in L1 radius lam * (E_A - E_B) under uniform noise on [-lam, lam]^d."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if noise.kind != NOISE_UNIFORM:
-        raise ValueError("proxy_radius_l1 expects uniform noise")
-    psi = soft_means(c, x, lam, noise)
-    top, runner = _top_two(psi)
-    return float(lam * (psi[top] - psi[runner])), top
+    """Plug-in L1 radius and top class under uniform noise on [-lam, lam]^d."""
+    return _one_scale(c, x, lam, noise, NOISE_UNIFORM)

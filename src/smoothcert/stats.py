@@ -45,19 +45,21 @@ def std_normal_pdf(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def std_normal_quantile(p: float) -> float:
-    """Phi^{-1}(p) for p strictly inside (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
+def std_normal_quantile(p):
+    """Phi^{-1}(p) for p strictly inside (0, 1), elementwise over arrays."""
+    q = np.asarray(p, dtype=float)
+    if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    return float(sps.ndtri(p))
+    z = sps.ndtri(q)
+    return float(z) if z.ndim == 0 else z
 
 
-def clamp_probability(p: float, clamp: float = P_CLAMP) -> float:
+def clamp_probability(p, clamp: float = P_CLAMP):
     """Pull p into [clamp, 1 - clamp] so the normal quantile stays finite."""
     if not 0.0 < clamp < 0.5:
         raise ValueError(f"clamp must lie in (0, 0.5), got {clamp!r}")
-    return min(max(float(p), clamp), 1.0 - clamp)
+    q = np.clip(np.asarray(p, dtype=float), clamp, 1.0 - clamp)
+    return float(q) if q.ndim == 0 else q
 
 
 def _validate_counts(k: int, n: int) -> tuple[int, int]:

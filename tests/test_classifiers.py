@@ -262,6 +262,31 @@ class TestJsonConfig:
         with pytest.raises(ValueError):
             classifier_from_config({"kind": "resnet"})
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "constant", "probs": [math.nan, 1.0], "dim": 2},
+        {"kind": "affine_softmax", "weights": [[1.0, math.inf], [0.0, 1.0]],
+         "bias": [0.0, 0.0]},
+        {"kind": "affine_softmax", "weights": [[1.0, 0.0], [0.0, 1.0]],
+         "bias": [math.nan, 0.0]},
+        {"kind": "hard_halfspace", "w": [1.0, 0.0], "b": math.nan},
+        {"kind": "probit_halfspace", "w": [1.0, 0.0], "b": math.nan, "s": 0.5},
+        {"kind": "probit_halfspace", "w": [1.0, 0.0], "b": 0.0, "s": math.inf},
+        {"kind": "probit_halfspace", "w": [1.0, math.nan], "b": 0.0, "s": 0.5},
+        {"kind": "nested_ball", "rho": math.nan, "dim": 2},
+        {"kind": "nested_ball", "rho": math.inf, "dim": 2},
+        {"kind": "mlp", "w1": [[1.0, 0.0]], "b1": [0.0],
+         "w2": [[1.0], [math.nan]], "b2": [0.0, 0.0]},
+    ])
+    def test_non_finite_parameters_rejected(self, cfg):
+        with pytest.raises(ValueError, match="finite|simplex"):
+            classifier_from_config(cfg)
+
+    def test_non_finite_mlp_state_rejected(self):
+        mlp = TinyMLP(2, 4, 2, rng=np.random.default_rng(9))
+        mlp.b1[0] = math.inf
+        with pytest.raises(ValueError, match="b1 must be finite"):
+            mlp_classifier(mlp)
+
     def test_mlp_config_carries_weights(self):
         mlp = TinyMLP(2, 4, 2, rng=np.random.default_rng(9))
         cfg = classifier_to_config(mlp_classifier(mlp))

@@ -67,6 +67,17 @@ class TestCertify:
         assert code == 1
         assert not out.exists()
 
+    def test_non_finite_classifier_fails_before_writing(self, workspace):
+        tmp, data, _ = workspace
+        clf = tmp / "nan.json"
+        clf.write_text(json.dumps({"kind": "probit_halfspace", "w": [1.0, 0.0],
+                                   "b": float("nan"), "s": 0.5}))
+        out = tmp / "r.csv"
+        args = certify_args(data, clf, out)
+        args[args.index("ds")] = "fixed"
+        assert cli_main(args) == 1
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, workspace):
         tmp, data, clf = workspace
         blobs = []

@@ -56,6 +56,10 @@ class TestRegion:
         with pytest.raises(ValueError):
             region((0.0,), 0.5, 0, norm="linf")
 
+    def test_abstain_prediction_rejected(self):
+        with pytest.raises(ValueError, match="prediction"):
+            region((0.0,), 0.5, -1)
+
     @pytest.mark.parametrize("center,radius,sigma", [
         ((math.nan, 0.0), 0.5, 0.25), ((0.0, math.inf), 0.5, 0.25),
         ((0.0, 0.0), math.nan, 0.25), ((0.0, 0.0), math.inf, 0.25),
@@ -345,6 +349,16 @@ class TestPersistence:
             '{"center": [0.5], "radius": NaN, "prediction": 1, '
             '"sigma": 0.25, "norm": "l2"}\n')
         with pytest.raises(ValueError, match="line 2.*finite"):
+            load_memory(path)
+
+    def test_negative_prediction_names_line(self, tmp_path):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0], "radius": 1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n'
+            '{"center": [5.0], "radius": 1.0, "prediction": -1, '
+            '"sigma": 0.25, "norm": "l2"}\n')
+        with pytest.raises(ValueError, match="line 2.*prediction"):
             load_memory(path)
 
 

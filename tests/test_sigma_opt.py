@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothcert.classifiers import (DerivativeUnsupportedError,
+from smoothcert.classifiers import (ClassifierHandle,
+                                    DerivativeUnsupportedError,
                                     constant_classifier,
                                     hard_halfspace_classifier,
                                     nested_ball_classifier,
@@ -25,6 +26,21 @@ def ball_radius_true(sigma: float, rho: float = 1.0) -> float:
     return sigma * std_normal_quantile(clamp_probability(psi))
 
 
+def counting(c):
+    """Copy of c that counts its probs and input_grads calls."""
+    calls = {"probs": 0, "grads": 0}
+
+    def probs_fn(points):
+        calls["probs"] += 1
+        return c.probs_fn(points)
+
+    def grad_fn(points):
+        calls["grads"] += 1
+        return c.grad_fn(points)
+
+    return ClassifierHandle(c.kind, c.dim, c.num_classes, probs_fn, grad_fn), calls
+
+
 class TestConfig:
     def test_bounds_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -35,7 +51,7 @@ class TestConfig:
             SigmaOptConfig(sigma0=0.25, grad_mode="newton")
 
     @pytest.mark.parametrize("field", ["sigma0", "step_alpha", "sigma_min",
-                                       "sigma_max", "fd_step", "p_clamp"])
+                                       "sigma_max", "fd_step"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_floats_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -126,6 +142,21 @@ class TestOptimizeSigma:
         for e in trace:
             assert cfg.sigma_min <= e.sigma <= cfg.sigma_max
 
+    @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 7)])
+    def test_one_probs_call_per_iterate(self, mode, grads):
+        c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
+        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=7,
+                             n_samples=5, grad_mode=mode, seed=4)
+        optimize_sigma(c, [0.6, 0.1], cfg)
+        assert calls == {"probs": 8, "grads": grads}
+
+    def test_zero_iterations_analytic_on_value_only(self):
+        c = hard_halfspace_classifier([1.0, 0.0], 0.0)
+        cfg = SigmaOptConfig(sigma0=0.4, iters_k=0, n_samples=10,
+                             grad_mode=GRAD_ANALYTIC, seed=1)
+        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg)
+        assert sigma_star == 0.4 and len(trace) == 1
+
     def test_faithful_returns_last_iterate(self):
         c = nested_ball_classifier(1.0, dim=2)
         cfg = SigmaOptConfig(sigma0=0.5, step_alpha=0.05, iters_k=60,
@@ -183,6 +214,11 @@ class TestGridSearch:
     def test_budget_divisibility_enforced(self):
         with pytest.raises(ValueError):
             sigma_grid(3, 200, 1.0)
+
+    def test_one_probs_call_for_the_grid(self):
+        c, calls = counting(nested_ball_classifier(1.0, dim=2))
+        grid_search_sigma(c, [0.0, 0.0], 4, 200, rng=np.random.default_rng(0))
+        assert calls == {"probs": 1, "grads": 0}
 
     def test_constant_classifier_takes_largest_point(self):
         # R = sigma * const is linear in sigma

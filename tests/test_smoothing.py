@@ -12,9 +12,9 @@ from smoothcert.classifiers import (TinyMLP, affine_softmax_classifier,
                                     probit_halfspace_classifier)
 from smoothcert.smoothing import (ABSTAIN, CertificationOutcome,
                                   GaussianCertConfig, NoiseBatch, certify_l1,
-                                  certify_l2, draw_noise, proxy_radius,
-                                  proxy_radius_l1, rng_for_input, smooth_predict,
-                                  vote_counts)
+                                  certify_l2, draw_noise, plugin_radii,
+                                  proxy_radius, proxy_radius_l1, rng_for_input,
+                                  smooth_predict, vote_counts)
 from smoothcert.stats import P_CLAMP, binom_lower_confidence, std_normal_quantile
 
 
@@ -238,6 +238,19 @@ class TestProxyRadius:
         r, top = proxy_radius_l1(c, [0.0, 0.0], 0.5, noise)
         assert top == 0
         assert r == pytest.approx(0.5 * 0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,one_scale", [("gaussian", proxy_radius),
+                                                ("uniform", proxy_radius_l1)])
+    def test_plugin_radii_match_one_scale_views(self, kind, one_scale):
+        scales = [0.05, 0.3, 0.7, 1.5]
+        noise = draw_noise(np.random.default_rng(11), 40, 2, kind=kind)
+        x = [0.4, -0.2]
+        for c in (probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5),
+                  affine_softmax_classifier([[1.0, 0.3], [-0.5, 0.8], [0.2, -1.0]],
+                                            [0.0, 0.1, -0.2])):
+            radii, top, _, _ = plugin_radii(c, x, scales, noise)
+            assert [(r, t) for r, t in zip(radii, top)] == [
+                one_scale(c, x, s, noise) for s in scales]
 
     def test_wrong_noise_kind_rejected(self):
         c = constant_classifier([0.8, 0.2], dim=2)
