@@ -307,13 +307,19 @@ class TinyMLP:
 
     @classmethod
     def from_state(cls, state: dict) -> "TinyMLP":
-        w1 = np.asarray(state["w1"], dtype=float)
-        w2 = np.asarray(state["w2"], dtype=float)
-        mlp = cls(dim=w1.shape[1], hidden=w1.shape[0], num_classes=w2.shape[0])
-        mlp.w1 = w1
-        mlp.b1 = np.asarray(state["b1"], dtype=float)
-        mlp.w2 = w2
-        mlp.b2 = np.asarray(state["b2"], dtype=float)
+        arrays = {k: np.asarray(state[k], dtype=float) for k in ("w1", "b1", "w2", "b2")}
+        for name in ("w1", "w2"):
+            if arrays[name].ndim != 2:
+                raise ValueError(f"mlp field {name} must be a matrix, got shape "
+                                 f"{arrays[name].shape}")
+        (hidden, dim), k = arrays["w1"].shape, arrays["w2"].shape[0]
+        mlp = cls(dim=dim, hidden=hidden, num_classes=k)
+        for name, shape in (("w1", (hidden, dim)), ("b1", (hidden,)),
+                            ("w2", (k, hidden)), ("b2", (k,))):
+            if arrays[name].shape != shape:
+                raise ValueError(f"mlp field {name} must have shape {shape}, got "
+                                 f"{arrays[name].shape}")
+            setattr(mlp, name, arrays[name])
         return mlp
 
 

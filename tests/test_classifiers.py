@@ -287,6 +287,20 @@ class TestJsonConfig:
         with pytest.raises(ValueError, match="b1 must be finite"):
             mlp_classifier(mlp)
 
+    @pytest.mark.parametrize("field,state", [
+        ("w1", {"w1": [1.0, 0.0], "b1": [0.0], "w2": [[1.0], [0.0]],
+                "b2": [0.0, 0.0]}),
+        ("b1", {"w1": [[1.0, 0.0]], "b1": [0.0, 0.0, 0.0], "w2": [[1.0], [0.0]],
+                "b2": [0.0, 0.0]}),
+        ("w2", {"w1": [[1.0, 0.0]], "b1": [0.0], "w2": [[1.0, 0.0], [0.0, 1.0]],
+                "b2": [0.0, 0.0]}),
+        ("b2", {"w1": [[1.0, 0.0]], "b1": [0.0], "w2": [[1.0], [0.0]],
+                "b2": [0.0]}),
+    ])
+    def test_inconsistent_mlp_shapes_rejected(self, field, state):
+        with pytest.raises(ValueError, match=f"mlp field {field} must"):
+            classifier_from_config({"kind": "mlp", **state})
+
     def test_mlp_config_carries_weights(self):
         mlp = TinyMLP(2, 4, 2, rng=np.random.default_rng(9))
         cfg = classifier_to_config(mlp_classifier(mlp))

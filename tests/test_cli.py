@@ -78,6 +78,19 @@ class TestCertify:
         assert cli_main(args) == 1
         assert not out.exists()
 
+    def test_inconsistent_mlp_shapes_fail_before_writing(self, workspace, capsys):
+        tmp, data, _ = workspace
+        clf = tmp / "mlp.json"
+        clf.write_text(json.dumps({"kind": "mlp", "w1": [[1.0, 0.0]],
+                                   "b1": [0.0, 0.0, 0.0],
+                                   "w2": [[1.0], [-1.0]], "b2": [0.0, 0.0]}))
+        out = tmp / "r.csv"
+        args = certify_args(data, clf, out)
+        args[args.index("ds")] = "fixed"
+        assert cli_main(args) == 1
+        assert not out.exists()
+        assert "b1" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, workspace):
         tmp, data, clf = workspace
         blobs = []
@@ -176,12 +189,14 @@ class TestTrainDemo:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about a second of start-up; only scipy.special is used
+    # scipy.stats costs about a second of start-up and scipy.spatial about
+    # half a second; only scipy.special is used (the memory screen is numpy)
     src = str(Path(smoothcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, smoothcert.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, smoothcert.cli; "
+         "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,9 @@
 """Ball geometry and the non-overlap region memory."""
 
+import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +48,99 @@ def cross_pred_invariant_holds(store, tol=1e-9):
             if d < rs[i].radius + rs[j].radius - tol:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference: the pure-Python full scan and pair loop the numpy screen replaced
+# ---------------------------------------------------------------------------
+
+_REF_TOL = 1e-9
+
+
+class RefStore:
+    def __init__(self, regions=()):
+        self.regions = list(regions)
+        self.insertions = 0
+        self.comparisons = 0
+        self.overlap_events = 0
+        self.adjusted_insertions = 0
+
+
+def ref_distance(a, b):
+    if a.norm == "l2":
+        return math.dist(a.center, b.center)
+    return sum(abs(u - v) for u, v in zip(a.center, b.center))
+
+
+def ref_insert(store, region):
+    cand = region
+    adjusted = False
+    overridden = False
+    for entry in store.regions:
+        store.comparisons += 1
+        if entry.prediction == cand.prediction:
+            continue
+        d = ref_distance(entry, cand)
+        if d <= entry.radius:
+            new_r = max(0.0, min(cand.radius, entry.radius - d))
+            if overridden and new_r < cand.radius - _REF_TOL:
+                raise MemoryInvariantError("shrink after override")
+            cand = replace(cand, radius=new_r, prediction=entry.prediction)
+            adjusted = True
+            overridden = True
+            store.overlap_events += 1
+        elif d < entry.radius + cand.radius:
+            new_r = max(0.0, min(cand.radius, d - entry.radius))
+            if overridden and new_r < cand.radius - _REF_TOL:
+                raise MemoryInvariantError("shrink after override")
+            cand = replace(cand, radius=new_r)
+            adjusted = True
+            store.overlap_events += 1
+    store.regions.append(cand)
+    store.insertions += 1
+    if adjusted:
+        store.adjusted_insertions += 1
+    return cand.prediction, cand, adjusted
+
+
+def ref_first_overlap(regions):
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            a, b = regions[i], regions[j]
+            if a.prediction == b.prediction:
+                continue
+            if ref_distance(a, b) < a.radius + b.radius - _REF_TOL:
+                return f"regions {i} and {j} predict differently but overlap"
+    return None
+
+
+def counters(store):
+    return (store.insertions, store.comparisons, store.overlap_events,
+            store.adjusted_insertions)
+
+
+def insert_both(store, ref, r):
+    got = memory_insert(store, r)
+    assert got == ref_insert(ref, r)
+    assert store.regions == ref.regions
+    assert counters(store) == counters(ref)
+    return got
+
+
+def write_regions(path, regions):
+    path.write_text("".join(
+        json.dumps({"center": list(r.center), "radius": r.radius,
+                    "prediction": r.prediction, "sigma": r.sigma_used,
+                    "norm": r.norm}) + "\n" for r in regions))
+
+
+def crowded_regions(rng, d, norm, n):
+    """Random regions dense enough that overrides and shrinks both fire."""
+    typical = math.sqrt(2.0 * d / 3.0) if norm == "l2" else 2.0 * d / 3.0
+    return [region(rng.uniform(-1.0, 1.0, size=d),
+                   typical * 10.0 ** rng.uniform(-1.5, 0.3), int(rng.integers(0, 3)),
+                   norm=norm)
+            for _ in range(n)]
 
 
 class TestRegion:
@@ -303,6 +399,106 @@ class TestMemoryInsert:
                 assert got == reference
 
 
+class TestAgainstReferenceScan:
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_random_stores_match(self, d, norm):
+        rng = np.random.default_rng(100 * d + len(norm))
+        store, ref = MemoryStore(), RefStore()
+        overrides = shrinks = 0
+        for r in crowded_regions(rng, d, norm, 150):
+            pred, final, _ = insert_both(store, ref, r)
+            overrides += pred != r.prediction
+            shrinks += pred == r.prediction and final.radius < r.radius
+        assert overrides > 0 and shrinks > 0
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_tangency_and_zero_radius_boundary(self, norm):
+        store, ref = MemoryStore(), RefStore()
+        insert_both(store, ref, region((0.0, 0.0), 1.0, 0, norm=norm))
+        # tangent: d == r_entry + r, no overlap, no adjustment
+        pred, final, adjusted = insert_both(store, ref,
+                                            region((2.5, 0.0), 1.5, 1, norm=norm))
+        assert (pred, final.radius, adjusted) == (1, 1.5, False)
+        # zero radius on the entry's boundary: d == r_entry, overridden
+        pred, final, adjusted = insert_both(store, ref,
+                                            region((0.0, 1.0), 0.0, 2, norm=norm))
+        assert (pred, final.radius, adjusted) == (0, 0.0, True)
+
+    def test_squares_overflowing_to_inf(self, tmp_path):
+        # numpy's squared differences overflow here; math.dist does not
+        store, ref = MemoryStore(), RefStore()
+        insert_both(store, ref, region((0.0, 0.0), 1e160, 0))
+        pred, final, adjusted = insert_both(store, ref, region((1.5e160, 0.0), 1e160, 1))
+        assert adjusted and final.radius == pytest.approx(0.5e160)
+        path = tmp_path / "memory.jsonl"
+        write_regions(path, [region((0.0, 0.0), 1e160, 0),
+                             region((1.5e160, 0.0), 1e160, 1)])
+        with pytest.raises(MemoryInvariantError, match="regions 0 and 1"):
+            load_memory(path)
+
+    def test_shrink_after_override_by_an_entry_of_the_original_prediction(
+            self, tmp_path):
+        # entry 1 predicts what the candidate first predicts and overlaps
+        # entry 0 by less than the load tolerance; after entry 0 overrides the
+        # candidate, entry 1 disagrees with it and shrinks it by 1e-12
+        path = tmp_path / "memory.jsonl"
+        write_regions(path, [region((0.0, 0.0), 1.0, 0),
+                             region((2.0 - 1e-12, 0.0), 1.0, 1)])
+        store = load_memory(path)
+        ref = RefStore(store.regions)
+        pred, final, adjusted = insert_both(store, ref, region((0.5, 0.0), 1.0, 1))
+        assert pred == 0 and adjusted
+        assert 0.5 - 1e-9 < final.radius < 0.5
+        assert store.overlap_events == 2
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_planted_overlap_names_the_same_pair(self, tmp_path, d, norm):
+        rng = np.random.default_rng(7 * d + len(norm))
+        store = MemoryStore()
+        for r in crowded_regions(rng, d, norm, 120):
+            memory_insert(store, r)
+        regions = list(store.regions)
+        path = tmp_path / "memory.jsonl"
+        write_regions(path, regions)
+        assert load_memory(path) == store
+        # plant a region over a stored one, with another prediction
+        k, m = sorted(rng.choice(len(regions), size=2, replace=False).tolist())
+        regions[m] = replace(regions[k], prediction=regions[k].prediction + 1,
+                             radius=regions[k].radius + 0.1)
+        expected = ref_first_overlap(regions)
+        assert expected is not None
+        write_regions(path, regions)
+        with pytest.raises(MemoryInvariantError) as exc:
+            load_memory(path)
+        assert str(exc.value) == expected
+
+    def test_degenerate_first_coordinate_is_checked_in_bounded_memory(
+            self, tmp_path):
+        # every center shares x0, so the sweep yields all N(N-1)/2 pairs
+        rng = np.random.default_rng(3)
+        n, d = 2000, 16
+        centers = np.zeros((n, d))
+        centers[:, 1:] = rng.normal(size=(n, d - 1)) * 100.0
+        regions = [region(c, 0.5, i % 3) for i, c in enumerate(centers)]
+        path = tmp_path / "memory.jsonl"
+        write_regions(path, regions)
+        tracemalloc.start()
+        try:
+            store = load_memory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(store) == n
+        assert peak < 64 * 2**20
+        regions[-1] = replace(regions[5], prediction=regions[5].prediction + 1)
+        write_regions(path, regions)
+        with pytest.raises(MemoryInvariantError,
+                           match=f"regions 5 and {n - 1} predict"):
+            load_memory(path)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -349,6 +545,17 @@ class TestPersistence:
             '{"center": [0.5], "radius": NaN, "prediction": 1, '
             '"sigma": 0.25, "norm": "l2"}\n')
         with pytest.raises(ValueError, match="line 2.*finite"):
+            load_memory(path)
+
+    @pytest.mark.parametrize("prediction", ["1.7", "true", '"1"'])
+    def test_non_integer_prediction_names_line(self, tmp_path, prediction):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0], "radius": 1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n'
+            f'{{"center": [5.0], "radius": 1.0, "prediction": {prediction}, '
+            '"sigma": 0.25, "norm": "l2"}\n')
+        with pytest.raises(ValueError, match="line 2.*JSON integer"):
             load_memory(path)
 
     def test_negative_prediction_names_line(self, tmp_path):
