@@ -27,7 +27,10 @@ from .smoothing import GaussianCertConfig
 __all__ = ["build_parser", "cli_main", "main"]
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else the CERTSMOOTH_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
     return int(os.environ.get("CERTSMOOTH_SEED", "0"))
 
 
@@ -108,17 +111,21 @@ def _parse_radii(text: str | None) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _opt_config(args) -> SigmaOptConfig:
+    """Ascent config from the shared ascent flags; the bounds widen to hold sigma0."""
+    return SigmaOptConfig(sigma0=args.sigma0, step_alpha=args.alpha_step,
+                          iters_k=args.iters, n_samples=args.n,
+                          sigma_min=min(args.sigma_min, args.sigma0),
+                          sigma_max=max(args.sigma_max, args.sigma0),
+                          grad_mode=args.grad_mode, return_mode=args.return_mode,
+                          seed=_seed(args))
+
+
 def _cmd_certify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     cert = GaussianCertConfig(sigma=args.sigma0, n0=args.n0, n_cert=args.n_cert,
                               alpha_fail=args.alpha_fail, seed=seed)
-    opt = SigmaOptConfig(sigma0=args.sigma0, step_alpha=args.alpha_step,
-                         iters_k=args.iters, n_samples=args.n,
-                         sigma_min=min(args.sigma_min, args.sigma0),
-                         sigma_max=max(args.sigma_max, args.sigma0),
-                         grad_mode=args.grad_mode, return_mode=args.return_mode,
-                         seed=seed)
-    cfg = CampaignConfig(mode=args.mode, cert=cert, opt=opt,
+    cfg = CampaignConfig(mode=args.mode, cert=cert, opt=_opt_config(args),
                          radii_grid=_parse_radii(args.radii),
                          dataset_path=args.dataset,
                          classifier_path=args.classifier,
@@ -133,16 +140,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_optimize_sigma(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     c = load_classifier(args.classifier)
     x = np.array([float(v) for v in args.point.split(",")])
-    cfg = SigmaOptConfig(sigma0=args.sigma0, step_alpha=args.alpha_step,
-                         iters_k=args.iters, n_samples=args.n,
-                         sigma_min=min(args.sigma_min, args.sigma0),
-                         sigma_max=max(args.sigma_max, args.sigma0),
-                         grad_mode=args.grad_mode, return_mode=args.return_mode,
-                         seed=seed)
-    sigma_star, trace = optimize_sigma(c, x, cfg)
+    sigma_star, trace = optimize_sigma(c, x, _opt_config(args))
     print("iter,sigma,proxy_radius,top_class")
     for e in trace:
         print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")
@@ -151,7 +151,7 @@ def _cmd_optimize_sigma(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
-    first = args.seed if args.seed is not None else _default_seed()
+    first = _seed(args)
     results = []
     wins = 0
     for s in range(first, first + args.seeds):

@@ -228,25 +228,21 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
         if entry.prediction == cand.prediction:
             continue
         d = _distance(entry, cand)
-        if d <= entry.radius:
-            new_r = max(0.0, min(cand.radius, entry.radius - d))
-            if overridden and new_r < cand.radius - _INVARIANT_TOL:
-                raise MemoryInvariantError(
-                    "a second differently-predicted entry forced shrinking "
-                    "after a prediction override; the store invariant is broken")
-            cand = replace(cand, radius=new_r, prediction=entry.prediction)
-            adjusted = True
-            overridden = True
-            store.overlap_events += 1
+        if d <= entry.radius:  # center inside: take the entry's prediction
+            new_r, prediction = min(cand.radius, entry.radius - d), entry.prediction
         elif d < entry.radius + cand.radius:
-            new_r = max(0.0, min(cand.radius, d - entry.radius))
-            if overridden and new_r < cand.radius - _INVARIANT_TOL:
-                raise MemoryInvariantError(
-                    "a second differently-predicted entry forced shrinking "
-                    "after a prediction override; the store invariant is broken")
-            cand = replace(cand, radius=new_r)
-            adjusted = True
-            store.overlap_events += 1
+            new_r, prediction = min(cand.radius, d - entry.radius), cand.prediction
+        else:
+            continue
+        new_r = max(0.0, new_r)
+        if overridden and new_r < cand.radius - _INVARIANT_TOL:
+            raise MemoryInvariantError(
+                "a second differently-predicted entry forced shrinking "
+                "after a prediction override; the store invariant is broken")
+        overridden = overridden or prediction != cand.prediction
+        cand = replace(cand, radius=new_r, prediction=prediction)
+        adjusted = True
+        store.overlap_events += 1
     store._append(cand)
     store.insertions += 1
     if adjusted:

@@ -2,9 +2,10 @@
 
 A campaign certifies every dataset row either at one fixed scale or with the
 per-input optimized scale ("ds" modes), feeding the resulting regions through
-the memory so differently-predicted certificates can never overlap. Per-input
-work is independent under counter-based seeds; memory insertion and metric
-aggregation happen afterwards in dataset order.
+the memory so differently-predicted certificates can never overlap. The scale
+ascent runs in one batched call per block of rows; one loop then certifies
+each row and inserts it into the memory, in dataset order. Counter-based
+per-row seeds make the results independent of the block size.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifiers import ClassifierHandle
-from .memory import CertifiedRegion, MemoryStore, memory_insert, save_memory
+from .memory import (NORM_L1, NORM_L2, CertifiedRegion, MemoryStore,
+                     memory_insert, save_memory)
 from .sigma_opt import SigmaOptConfig, optimize_sigma
-from .smoothing import (ABSTAIN, GaussianCertConfig, certify_l1, certify_l2,
-                        draw_noise, rng_for_input)
+from .smoothing import (_VOTE_BATCH, ABSTAIN, GaussianCertConfig, NoiseBatch,
+                        certify_l1, certify_l2, draw_noise, rng_for_input)
 
 __all__ = [
     "MODE_FIXED",
@@ -108,6 +110,9 @@ def load_dataset(path) -> LabeledDataset:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"{path}: line {lineno}: features must be finite")
+            if labels[-1] < 0:
+                raise ValueError(f"{path}: line {lineno}: label must be a "
+                                 f"nonnegative class index, got {labels[-1]}")
     if not rows:
         raise ValueError(f"{path}: dataset is empty")
     return LabeledDataset(np.asarray(rows), np.asarray(labels))
@@ -174,18 +179,24 @@ class CertRecord:
         return self.prediction == self.label
 
 
-def _certify_one(c, x, cfg: CampaignConfig, idx: int) -> tuple:
-    """Per-input phase-1 work: certify (optimizing the scale first in ds modes)."""
-    cert_rng = rng_for_input(cfg.cert.seed, idx, _STREAM_CERT)
-    if cfg.mode == MODE_FIXED:
-        return certify_l2(c, x, cfg.cert, rng=cert_rng), cfg.cert.sigma
+def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig) -> np.ndarray:
+    """Optimized scale of every row, one ``optimize_sigma`` call per block.
+
+    An iterate scores at most three scales of n draws per row, so blocks of
+    _VOTE_BATCH // (3 n) rows keep each classifier call within the vote batch.
+    """
     kind = "uniform" if cfg.mode == MODE_DS_L1 else "gaussian"
-    noise = draw_noise(rng_for_input(cfg.cert.seed, idx, _STREAM_OPT),
-                       cfg.opt.n_samples, c.dim, kind)
-    scale, _ = optimize_sigma(c, x, cfg.opt, noise=noise)
-    if cfg.mode == MODE_DS:
-        return certify_l2(c, x, replace(cfg.cert, sigma=scale), rng=cert_rng), scale
-    return certify_l1(c, x, scale, cfg.cert, rng=cert_rng), scale
+    n = cfg.opt.n_samples
+    block = max(1, _VOTE_BATCH // (3 * n))
+    scales = np.empty(len(dataset))
+    for start in range(0, len(dataset), block):
+        rows = range(start, min(start + block, len(dataset)))
+        noise = NoiseBatch(kind, np.stack([
+            draw_noise(rng_for_input(cfg.cert.seed, i, _STREAM_OPT), n, c.dim,
+                       kind).draws for i in rows]))
+        scales[start:rows.stop], _ = optimize_sigma(
+            c, dataset.points[start:rows.stop], cfg.opt, noise=noise)
+    return scales
 
 
 def run_campaign(cfg: CampaignConfig,
@@ -196,9 +207,11 @@ def run_campaign(cfg: CampaignConfig,
     """Certify a dataset and aggregate the campaign metrics.
 
     Fixed mode certifies at one scale without touching the memory. The ds
-    modes optimize the scale per input, certify with it, and then insert the
-    region into the memory in dataset order, recording any adjustment the
-    memory forced on the prediction or radius.
+    modes first optimize the scale of every row in batched ascent calls,
+    then certify each row with its scale and insert the region into the
+    memory in dataset order, recording any adjustment the memory forced on
+    the prediction or radius. A dataset or memory that does not fit the
+    classifier or mode is rejected before any work.
     """
     from .classifiers import load_classifier
     from .memory import load_memory
@@ -217,22 +230,38 @@ def run_campaign(cfg: CampaignConfig,
     if len(dataset) and dataset.dim != classifier.dim:
         raise ValueError(f"dataset dim {dataset.dim} does not match classifier "
                          f"dim {classifier.dim}")
+    bad = np.flatnonzero(dataset.labels >= classifier.num_classes)
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: label {dataset.labels[bad[0]]} is not a "
+                         f"class of the {classifier.num_classes}-class classifier")
+    if cfg.mode != MODE_FIXED and memory.regions and len(dataset):
+        held, norm = memory.regions[0], NORM_L1 if cfg.mode == MODE_DS_L1 else NORM_L2
+        if (held.norm, held.dim) != (norm, dataset.dim):
+            raise ValueError(
+                f"memory mismatch: mode {cfg.mode} needs {norm} regions of dim "
+                f"{dataset.dim}, the memory holds {held.norm} regions of dim {held.dim}")
 
-    indices = range(len(dataset))
-    phase1 = [_certify_one(classifier, dataset.points[i], cfg, i) for i in indices]
-
+    if cfg.mode == MODE_FIXED:
+        scales = [cfg.cert.sigma] * len(dataset)
+    else:
+        scales = _ascent_scales(classifier, dataset, cfg).tolist()
     records: list[CertRecord] = []
-    for i, (out, sigma_star) in zip(indices, phase1):
+    for i, (x, scale) in enumerate(zip(dataset.points, scales)):
+        cert_rng = rng_for_input(cfg.cert.seed, i, _STREAM_CERT)
+        if cfg.mode == MODE_DS_L1:
+            out = certify_l1(classifier, x, scale, cfg.cert, rng=cert_rng)
+        else:
+            out = certify_l2(classifier, x, replace(cfg.cert, sigma=scale), rng=cert_rng)
         prediction, radius, adjusted = out.prediction, out.radius, False
         if cfg.mode != MODE_FIXED and not out.abstained:
-            region = CertifiedRegion(center=tuple(dataset.points[i]),
-                                     radius=out.radius, prediction=out.prediction,
-                                     sigma_used=sigma_star, norm=out.norm)
+            region = CertifiedRegion(center=tuple(x), radius=out.radius,
+                                     prediction=out.prediction, sigma_used=scale,
+                                     norm=out.norm)
             prediction, final_region, adjusted = memory_insert(memory, region)
             radius = final_region.radius
         records.append(CertRecord(idx=i, label=int(dataset.labels[i]),
                                   prediction=prediction, radius=radius,
-                                  p_lower=out.p_lower, sigma_star=sigma_star,
+                                  p_lower=out.p_lower, sigma_star=scale,
                                   adjusted=adjusted))
 
     metrics = metrics_from_records(records, cfg.radii_grid,
@@ -330,20 +359,16 @@ def train_batch(c: ClassifierHandle, points: np.ndarray, labels: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """One batch of scale-adaptive training.
 
-    Optimizes the scale of every input starting from its carried value, then
-    hands the batch and the optimized scales to the trainer for one step.
+    Optimizes the scales of the whole batch in one ascent call, each input
+    starting from its carried value, then hands the batch and the optimized
+    scales to the trainer for one step.
     Returns the optimized scales for carry-over into the next epoch.
     """
     if not c.trainable:
         raise ValueError(f"classifier kind={c.kind!r} is not trainable")
     points = np.asarray(points, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    stars = np.empty(len(points))
-    for i, (x, s0) in enumerate(zip(points, sigmas)):
-        cfg_i = replace(opt_cfg, sigma0=float(np.clip(s0, opt_cfg.sigma_min,
-                                                      opt_cfg.sigma_max)))
-        noise = draw_noise(rng, cfg_i.n_samples, c.dim, "gaussian")
-        stars[i], _ = optimize_sigma(c, x, cfg_i, noise=noise)
+    noise = draw_noise(rng, opt_cfg.n_samples, c.dim, lead=(len(points),))
+    stars, _ = optimize_sigma(c, points, opt_cfg, noise=noise, sigma0=sigmas)
     trainer(c, points, labels, stars, rng)
     return stars
 

@@ -9,13 +9,13 @@ A grid-search baseline under a matched evaluation budget is included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import ClassifierHandle, as_point
-from .smoothing import (NOISE_UNIFORM, NoiseBatch, draw_noise, plugin_radii,
-                        proxy_radius, proxy_radius_l1)
+from .smoothing import (NOISE_UNIFORM, NoiseBatch, _pick, draw_noise,
+                        plugin_radii, proxy_radius, proxy_radius_l1)
 from .stats import P_CLAMP, clamp_probability, std_normal_pdf, std_normal_quantile
 
 __all__ = [
@@ -49,9 +49,11 @@ class SigmaOptConfig:
 
     ``faithful`` return mode hands back the final iterate; ``best_iterate``
     returns the trace argmax, which is guaranteed not to fall below the
-    starting radius under the shared noise batch. ``seed`` only seeds the
-    noise ``optimize_sigma`` draws when given neither noise nor a generator;
-    campaigns pass noise drawn from ``rng_for_input(cert.seed, idx, 1)``.
+    starting radius under the shared noise batch. ``sigma0`` is the start
+    scale unless ``optimize_sigma`` gets one per input. ``seed`` only seeds
+    the noise ``optimize_sigma`` draws when given none; campaigns run the
+    ascent on blocks of rows, row idx with noise from
+    ``rng_for_input(cert.seed, idx, 1)``.
     """
     sigma0: float
     step_alpha: float = 1e-4
@@ -97,13 +99,20 @@ class TraceEntry:
     top_class: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SigmaTrace:
-    """Iterate history: one entry per iterate, start included (length K + 1)."""
-    entries: list[TraceEntry] = field(default_factory=list)
+    """Iterate history of one input as arrays, start included (length K + 1)."""
+    sigmas: np.ndarray
+    radii: np.ndarray
+    tops: np.ndarray
+
+    @property
+    def entries(self) -> list[TraceEntry]:
+        return [TraceEntry(k, *e) for k, e in enumerate(zip(
+            self.sigmas.tolist(), self.radii.tolist(), self.tops.tolist()))]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.sigmas)
 
     def __iter__(self):
         return iter(self.entries)
@@ -113,51 +122,49 @@ class SigmaTrace:
 
     def best(self) -> TraceEntry:
         """Entry with the largest plug-in radius (earliest wins ties)."""
-        best = self.entries[0]
-        for e in self.entries[1:]:
-            if e.proxy_radius > best.proxy_radius:
-                best = e
-        return best
+        return self[int(np.argmax(self.radii))]
 
     def class_flips(self) -> int:
         """Number of iterations where the top class changed."""
-        return sum(1 for a, b in zip(self.entries, self.entries[1:])
-                   if a.top_class != b.top_class)
+        return int(np.count_nonzero(np.diff(self.tops)))
 
 
-def _score(c, x, sigma: float, noise: NoiseBatch, mode: str, fd_step: float,
-           slope: bool = True) -> tuple[float, int, float | None]:
+def _score(c, x, sigma: np.ndarray, noise: NoiseBatch, mode: str, fd_step: float,
+           slope: bool = True):
     """Plug-in radius, top class and (if ``slope``) its scale derivative at sigma.
 
-    The radius and both secant points come from one ``plugin_radii`` call;
-    the analytic slope adds one ``input_grads`` call at sigma.
+    Elementwise over the inputs. The radius and both secant points come from
+    one ``plugin_radii`` call; the analytic slope adds one ``input_grads`` call.
     """
-    h = min(fd_step * max(1.0, sigma), 0.5 * sigma)
+    h = np.minimum(fd_step * np.maximum(1.0, sigma), 0.5 * sigma)
     fd = slope and mode == GRAD_SCALAR_FD
-    r, top, runner, psi = plugin_radii(c, x, [sigma, sigma + h, sigma - h] if fd
-                                       else [sigma], noise)
-    r0, a = float(r[0]), int(top[0])
+    scales = np.stack([sigma, sigma + h, sigma - h], axis=-1) if fd else sigma[..., None]
+    r, top, runner, psi = plugin_radii(c, x, scales, noise)
+    r0, a = r[..., 0], top[..., 0]
     if not slope:
         return r0, a, None
     if fd:
-        return r0, a, float((r[1] - r[2]) / (2.0 * h))
-    return r0, a, _analytic_slope(c, x, sigma, noise, psi[0], a, int(runner[0]))
+        return r0, a, (r[..., 1] - r[..., 2]) / (2.0 * h)
+    return r0, a, _analytic_slope(c, x, sigma, noise, psi[..., 0, :], a, runner[..., 0])
 
 
-def _analytic_slope(c, x, sigma, noise, psi, a, b) -> float:
+def _analytic_slope(c, x, sigma, noise, psi, a, b):
     """Chain-rule slope from the means psi at sigma, top class a, runner-up b."""
-    grads = c.input_grads(x[None, :] + sigma * noise.draws)  # (n, k, d)
-    eprime = np.einsum("nd,nkd->k", noise.draws, grads) / len(noise)
+    pts = x[..., None, :] + sigma[..., None, None] * noise.draws
+    grads = c.input_grads(pts.reshape(-1, c.dim)).reshape(
+        pts.shape[:-1] + (c.num_classes, c.dim))  # (..., n, k, d)
+    eprime = np.einsum("...nd,...nkd->...k", noise.draws, grads) / len(noise)
+    pa, pb, ea, eb = _pick(psi, a), _pick(psi, b), _pick(eprime, a), _pick(eprime, b)
     if noise.kind == NOISE_UNIFORM:
-        return float((psi[a] - psi[b]) + sigma * (eprime[a] - eprime[b]))
-    za = std_normal_quantile(clamp_probability(psi[a]))
-    zb = std_normal_quantile(clamp_probability(psi[b]))
-    g = 0.5 * (za - zb)
-    if P_CLAMP < psi[a] < 1.0 - P_CLAMP:
-        g += 0.5 * sigma * eprime[a] / std_normal_pdf(za)
-    if P_CLAMP < psi[b] < 1.0 - P_CLAMP:
-        g -= 0.5 * sigma * eprime[b] / std_normal_pdf(zb)
-    return float(g)
+        return (pa - pb) + sigma * (ea - eb)
+    za = std_normal_quantile(clamp_probability(pa))
+    zb = std_normal_quantile(clamp_probability(pb))
+
+    def term(p, z, e):  # a clamped mean contributes zero slope
+        inside = (P_CLAMP < p) & (p < 1.0 - P_CLAMP)
+        return np.where(inside, 0.5 * sigma * e / std_normal_pdf(z), 0.0)
+
+    return 0.5 * (za - zb) + term(pa, za, ea) - term(pb, zb, eb)
 
 
 def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
@@ -174,38 +181,44 @@ def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
     """
     if mode not in (GRAD_ANALYTIC, GRAD_SCALAR_FD):
         raise ValueError(f"unknown grad mode {mode!r}")
-    return _score(c, as_point(x), float(sigma), noise, mode, fd_step)[2]
+    return float(_score(c, as_point(x), np.asarray(float(sigma)), noise, mode,
+                        fd_step)[2])
 
 
 def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
-                   noise: NoiseBatch | None = None,
-                   rng: np.random.Generator | None = None) -> tuple[float, SigmaTrace]:
+                   noise: NoiseBatch | None = None, sigma0=None):
     """K steps of projected gradient ascent on the plug-in radius.
 
-    One noise batch is drawn up front and shared by every iteration (the
-    standardized draws do not depend on the scale), each step is projected
-    onto [sigma_min, sigma_max], and the top class is re-resolved at every
-    iterate; flips are visible in the trace. The norm follows the noise
-    kind; without noise a gaussian (L2) batch is drawn. Each iterate costs
-    one classifier call, plus one gradient call in analytic mode.
+    ``x`` is one point (d,) with noise draws (n, d), or a batch (B, d) with
+    draws (B, n, d); without noise a gaussian batch is drawn from
+    ``cfg.seed``. The draws are shared by every iterate (they do not depend on
+    the scale). Each input starts at its entry of ``sigma0`` (default
+    ``cfg.sigma0``) and every iterate is projected onto [sigma_min,
+    sigma_max]; the trace shows top-class flips, and the norm follows the
+    noise kind. Each iterate makes one classifier call for the whole batch,
+    plus one gradient call in analytic mode. Returns (sigma_star, trace), or
+    for a batch a (B,) array of scales and a list of traces.
     """
-    x = as_point(x)
+    x = np.asarray(x, dtype=float)
     if noise is None:
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
-        noise = draw_noise(rng, cfg.n_samples, c.dim)
-    sigma = float(np.clip(cfg.sigma0, cfg.sigma_min, cfg.sigma_max))
-    trace = SigmaTrace()
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
+        noise = draw_noise(rng, cfg.n_samples, c.dim, lead=x.shape[:-1])
+    start = cfg.sigma0 if sigma0 is None else sigma0
+    sigma = np.clip(np.broadcast_to(start, x.shape[:-1]), cfg.sigma_min, cfg.sigma_max)
+    steps = []
     for k in range(cfg.iters_k + 1):
         r, top, g = _score(c, x, sigma, noise, cfg.grad_mode, cfg.fd_step,
                            slope=k < cfg.iters_k)
-        trace.entries.append(TraceEntry(k, sigma, r, top))
+        steps.append((sigma, r, top))
         if g is not None:
-            sigma = float(np.clip(sigma + cfg.step_alpha * g, cfg.sigma_min,
-                                  cfg.sigma_max))
+            sigma = np.clip(sigma + cfg.step_alpha * g, cfg.sigma_min, cfg.sigma_max)
+    sigmas, radii, tops = map(np.array, zip(*steps))
     if cfg.return_mode == RETURN_BEST_ITERATE:
-        return trace.best().sigma, trace
-    return sigma, trace
+        sigma = np.take_along_axis(sigmas, np.argmax(radii, axis=0)[None], axis=0)[0]
+    if x.ndim == 1:
+        return float(sigma), SigmaTrace(sigmas, radii, tops)
+    return sigma, [SigmaTrace(sigmas[:, i], radii[:, i], tops[:, i])
+                   for i in range(len(x))]
 
 
 def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0,

@@ -98,16 +98,16 @@ class CertificationOutcome:
 class NoiseBatch:
     """Standard noise draws reused across scale values (common random numbers)."""
     kind: str
-    draws: np.ndarray  # (n, d) standard normal or U[-1, 1]
+    draws: np.ndarray  # (n, d) per input, (B, n, d) for B inputs; N(0, 1) or U[-1, 1]
 
     def __post_init__(self):
         if self.kind not in (NOISE_GAUSSIAN, NOISE_UNIFORM):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.draws.ndim != 2 or self.draws.shape[0] < 1:
-            raise ValueError(f"draws must be (n, d) with n >= 1, got {self.draws.shape}")
+        if self.draws.ndim < 2 or self.draws.shape[-2] < 1:
+            raise ValueError(f"draws must be (..., n, d) with n >= 1, got {self.draws.shape}")
 
-    def __len__(self) -> int:
-        return self.draws.shape[0]
+    def __len__(self) -> int:  # draws per input
+        return self.draws.shape[-2]
 
 
 def rng_for_input(seed: int, input_index: int, stream: int = 0) -> np.random.Generator:
@@ -117,10 +117,12 @@ def rng_for_input(seed: int, input_index: int, stream: int = 0) -> np.random.Gen
 
 
 def draw_noise(rng: np.random.Generator, n: int, dim: int,
-               kind: str = NOISE_GAUSSIAN) -> NoiseBatch:
+               kind: str = NOISE_GAUSSIAN, lead: tuple[int, ...] = ()) -> NoiseBatch:
+    """n draws per input for inputs of shape ``lead``, in input order."""
+    size = (*lead, n, dim)
     if kind == NOISE_UNIFORM:
-        return NoiseBatch(kind, rng.uniform(-1.0, 1.0, size=(n, dim)))
-    return NoiseBatch(kind, rng.standard_normal((n, dim)))  # rejects unknown kinds
+        return NoiseBatch(kind, rng.uniform(-1.0, 1.0, size=size))
+    return NoiseBatch(kind, rng.standard_normal(size))  # rejects unknown kinds
 
 
 def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
@@ -225,24 +227,31 @@ def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):
     With E_A, E_B the top-two mean soft outputs at x + s * draws, the radius
     is s/2 * (Phi^{-1}(E_A) - Phi^{-1}(E_B)) for gaussian noise (means
     clamped away from {0, 1} first) and s * (E_A - E_B) for uniform noise.
-    Returns (radii, top, runner, means), one row per scale; ties in the
-    means go to the lowest class.
+    Leading input axes broadcast: points (..., d), scales (..., S) and
+    draws (..., n, d) give (radii, top, runner) of shape (..., S) and means
+    (..., S, k). Ties in the means go to the lowest class.
     """
-    x = as_point(x)
+    x = np.asarray(x, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    if scales.ndim != 1 or not np.all(scales > 0):
-        raise ValueError(f"scales must be a 1-D array of positive values, got {scales}")
-    if x.size != c.dim or noise.draws.shape[1] != c.dim:
+    if scales.ndim < 1 or not np.all(scales > 0):
+        raise ValueError(f"scales must be an array of positive values, got {scales}")
+    if x.ndim < 1 or not np.all(np.isfinite(x)):
+        raise ValueError("point entries must be finite")
+    if x.shape[-1] != c.dim or noise.draws.shape[-1] != c.dim:
         raise ValueError("noise/point dimension mismatch with classifier")
-    pts = x + scales[:, None, None] * noise.draws  # (s, n, d)
-    probs = c.probs(pts.reshape(-1, c.dim)).reshape(len(scales), len(noise), -1)
-    means = probs.mean(axis=1)
+    pts = x[..., None, None, :] + scales[..., None, None] * noise.draws[..., None, :, :]
+    probs = c.probs(pts.reshape(-1, c.dim)).reshape(pts.shape[:-1] + (-1,))
+    means = probs.mean(axis=-2)
     top, runner = _top_two(means)
-    rows = np.arange(len(scales))
     if noise.kind == NOISE_UNIFORM:
-        return scales * (means[rows, top] - means[rows, runner]), top, runner, means
+        return scales * (_pick(means, top) - _pick(means, runner)), top, runner, means
     z = std_normal_quantile(clamp_probability(means))
-    return 0.5 * scales * (z[rows, top] - z[rows, runner]), top, runner, means
+    return 0.5 * scales * (_pick(z, top) - _pick(z, runner)), top, runner, means
+
+
+def _pick(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """values[..., idx] along the last axis, one index per leading position."""
+    return np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
 
 
 def _one_scale(c, x, scale, noise, kind) -> tuple[float, int]:

@@ -39,10 +39,11 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def std_normal_pdf(z: float) -> float:
-    """phi(z), the standard normal density."""
-    z = float(z)
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
+def std_normal_pdf(z):
+    """phi(z), the standard normal density, elementwise over arrays."""
+    z = np.asarray(z, dtype=float)
+    d = np.exp(-0.5 * z * z) / _SQRT_2PI
+    return float(d) if d.ndim == 0 else d
 
 
 def std_normal_quantile(p):

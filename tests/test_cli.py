@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import smoothcert
-from smoothcert.classifiers import probit_halfspace_classifier, save_classifier
+from smoothcert.classifiers import (ClassifierHandle,
+                                    probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
 from smoothcert.synthetic import make_two_clusters, save_dataset_csv
 
@@ -90,6 +91,33 @@ class TestCertify:
         assert cli_main(args) == 1
         assert not out.exists()
         assert "b1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,center,norm,message", [
+        ("ds", [0.0, 0.0], "l1", "needs l2 regions of dim 2, the memory holds "
+                                 "l1 regions of dim 2"),
+        ("ds_l1", [0.0, 0.0], "l2", "needs l1 regions of dim 2, the memory holds "
+                                    "l2 regions of dim 2"),
+        ("ds", [0.0, 0.0, 0.0], "l2", "needs l2 regions of dim 2, the memory "
+                                      "holds l2 regions of dim 3"),
+    ])
+    def test_unfit_memory_fails_before_any_work(self, workspace, monkeypatch,
+                                                capsys, mode, center, norm,
+                                                message):
+        tmp, data, clf = workspace
+        mem = tmp / "m.jsonl"
+        mem.write_text(json.dumps({"center": center, "radius": 0.5,
+                                   "prediction": 1, "sigma": 0.25,
+                                   "norm": norm}) + "\n")
+        calls = []
+        probs = ClassifierHandle.probs
+        monkeypatch.setattr(ClassifierHandle, "probs",
+                            lambda self, pts: calls.append(1) or probs(self, pts))
+        out = tmp / "r.csv"
+        args = certify_args(data, clf, out, ["--memory-in", str(mem)])
+        args[args.index("ds")] = mode
+        assert cli_main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and calls == []
 
     def test_byte_identical_reruns(self, workspace):
         tmp, data, clf = workspace

@@ -452,6 +452,21 @@ class TestAgainstReferenceScan:
         assert 0.5 - 1e-9 < final.radius < 0.5
         assert store.overlap_events == 2
 
+    def test_touch_after_override_keeps_the_invariant_check(self):
+        # a broken store (entry 2 overlaps entry 0): entry 0 overrides the
+        # candidate, entry 1 shrinks it by less than the tolerance, and
+        # entry 2 must still trip the check, as in the reference scan
+        regions = [region((0.0, 0.0), 1.0, 0), region((2.0 - 1e-12, 0.0), 1.0, 1),
+                   region((0.5, 0.3), 0.2, 1)]
+        store = MemoryStore()
+        for r in regions:
+            store._append(r)
+        cand = region((0.5, 0.0), 1.0, 1)
+        with pytest.raises(MemoryInvariantError):
+            ref_insert(RefStore(regions), cand)
+        with pytest.raises(MemoryInvariantError):
+            memory_insert(store, cand)
+
     @pytest.mark.parametrize("norm", ["l2", "l1"])
     @pytest.mark.parametrize("d", [1, 2, 16])
     def test_planted_overlap_names_the_same_pair(self, tmp_path, d, norm):

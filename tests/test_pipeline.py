@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from smoothcert.classifiers import (TinyMLP, constant_classifier,
+from smoothcert import pipeline
+from smoothcert.classifiers import (ClassifierHandle, TinyMLP,
+                                    constant_classifier,
                                     mlp_classifier,
                                     probit_halfspace_classifier)
 from smoothcert.memory import audit
@@ -17,7 +19,7 @@ from smoothcert.pipeline import (MODE_DS, MODE_DS_L1, MODE_FIXED,
                                  certified_accuracy_curve, emit_report,
                                  load_dataset, metrics_from_records,
                                  read_report_csv, run_campaign, train_batch)
-from smoothcert.sigma_opt import SigmaOptConfig
+from smoothcert.sigma_opt import SigmaOptConfig, optimize_sigma
 from smoothcert.smoothing import ABSTAIN, GaussianCertConfig
 from smoothcert.synthetic import make_annuli, make_two_clusters, save_dataset_csv
 
@@ -36,6 +38,18 @@ def probit_setup(margin_lo=0.5, margin_hi=2.0, n=30, seed=0):
     ys = side.astype(int)
     return LabeledDataset(xs, ys), probit_halfspace_classifier([1.0, 0.0],
                                                                0.0, 0.5)
+
+
+def sizes_of_calls(c):
+    """Copy of c that records the number of points of each probs call."""
+    calls = []
+
+    def probs_fn(points):
+        calls.append(len(points))
+        return c.probs_fn(points)
+
+    return ClassifierHandle(c.kind, c.dim, c.num_classes, probs_fn,
+                            c.grad_fn), calls
 
 
 class TestLoadDataset:
@@ -62,6 +76,12 @@ class TestLoadDataset:
         p = tmp_path / "d.csv"
         p.write_text("0.1,0.2,1\nfoo,0.4,0\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_dataset(p)
+
+    def test_negative_label_names_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0.1,0.2,1\n0.3,0.4,-1\n")
+        with pytest.raises(ValueError, match="line 2.*nonnegative"):
             load_dataset(p)
 
     def test_non_finite_names_line(self, tmp_path):
@@ -134,6 +154,42 @@ class TestRunCampaign:
         records, store, metrics = run_campaign(self._cfg(MODE_FIXED),
                                                dataset=ds, classifier=c)
         assert records == [] and metrics.acr == 0.0 and metrics.n_inputs == 0
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_DS])
+    def test_label_outside_classes_rejected_before_work(self, mode):
+        ds, c = probit_setup(n=6, seed=2)
+        labels = ds.labels.copy()
+        labels[[2, 4]] = 5
+        c, calls = sizes_of_calls(c)
+        with pytest.raises(ValueError, match="row 2: label 5"):
+            run_campaign(self._cfg(mode), dataset=LabeledDataset(ds.points, labels),
+                         classifier=c)
+        assert calls == []
+
+    def test_ascent_runs_in_bounded_blocks(self, monkeypatch):
+        # 4096 draws per row: a block of 65536 // (3 * 4096) = 5 rows, so 12
+        # rows take three ascent calls of at most 61440 points per classifier call
+        ds, c = probit_setup(n=12, seed=5)
+        c, calls = sizes_of_calls(c)
+        ascents = []
+
+        def counted(*args, **kwargs):
+            ascents.append(len(args[1]))
+            return optimize_sigma(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "optimize_sigma", counted)
+        cfg = CampaignConfig(
+            mode=MODE_DS, cert=GaussianCertConfig(sigma=0.25, n0=10, n_cert=50),
+            opt=SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=3,
+                               n_samples=4096))
+        records, store, _ = run_campaign(cfg, dataset=ds, classifier=c)
+        assert ascents == [5, 5, 2]
+        assert max(calls) == 5 * 3 * 4096 <= 1 << 16
+        monkeypatch.setattr(pipeline, "_VOTE_BATCH", 2 * 3 * 4096)
+        ascents.clear()
+        small = run_campaign(cfg, dataset=ds, classifier=c)
+        assert ascents == [2] * 6
+        assert small[0] == records and small[1] == store
 
     def test_ds_with_zero_iters_equals_fixed(self):
         ds, c = probit_setup(n=12, seed=3)

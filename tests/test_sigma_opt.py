@@ -1,6 +1,7 @@
 """Scale-ascent optimizer against closed-form and grid-scan oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from smoothcert.classifiers import (ClassifierHandle,
                                     DerivativeUnsupportedError,
+                                    affine_softmax_classifier,
                                     constant_classifier,
                                     hard_halfspace_classifier,
                                     nested_ball_classifier,
@@ -16,7 +18,7 @@ from smoothcert.sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD,
                                   RETURN_BEST_ITERATE, RETURN_FAITHFUL,
                                   SigmaOptConfig, grad_sigma, grid_search_sigma,
                                   optimize_sigma, sigma_grid)
-from smoothcert.smoothing import draw_noise, proxy_radius
+from smoothcert.smoothing import NoiseBatch, draw_noise, proxy_radius
 from smoothcert.stats import clamp_probability, std_normal_quantile
 
 
@@ -166,6 +168,66 @@ class TestOptimizeSigma:
         assert sigma_star == trace[-1].sigma
 
 
+BATCH_CLASSIFIERS = {
+    "probit": lambda: probit_halfspace_classifier([1.0, 0.3], 0.1, 0.5),
+    "constant": lambda: constant_classifier([0.7, 0.2, 0.1], dim=2),
+    "ball": lambda: nested_ball_classifier(1.0, dim=2),
+    "affine3": lambda: affine_softmax_classifier(
+        [[1.0, 0.2], [-0.8, 0.5], [0.1, -1.0]], [0.1, -0.2, 0.05]),
+}
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("name,mode", [
+        (name, mode) for name in BATCH_CLASSIFIERS
+        for mode in (GRAD_SCALAR_FD, GRAD_ANALYTIC)
+        if not (name == "ball" and mode == GRAD_ANALYTIC)])  # ball: value-only
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("ret", [RETURN_FAITHFUL, RETURN_BEST_ITERATE])
+    def test_batch_matches_lone_calls(self, name, mode, kind, ret):
+        c = BATCH_CLASSIFIERS[name]()
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(-1.5, 1.5, size=(7, 2))
+        # carried start scales as train_batch passes them, some out of bounds
+        starts = rng.uniform(0.02, 2.5, size=7)
+        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.05, iters_k=12,
+                             n_samples=4, sigma_min=0.1, sigma_max=2.0,
+                             grad_mode=mode, return_mode=ret)
+        noise = draw_noise(rng, 4, 2, kind, lead=(7,))
+        stars, traces = optimize_sigma(c, xs, cfg, noise=noise, sigma0=starts)
+        assert stars.shape == (7,) and len(traces) == 7
+        for i in range(7):
+            cfg_i = replace(cfg, sigma0=float(np.clip(starts[i], 0.1, 2.0)))
+            star, trace = optimize_sigma(c, xs[i], cfg_i,
+                                         noise=NoiseBatch(kind, noise.draws[i]))
+            assert type(star) is float
+            if mode == GRAD_SCALAR_FD:
+                assert stars[i] == star
+                assert traces[i].entries == trace.entries
+                continue
+            assert stars[i] == pytest.approx(star, rel=1e-12, abs=0)
+            for a, b in zip(traces[i], trace):
+                assert a.top_class == b.top_class
+                assert a.sigma == pytest.approx(b.sigma, rel=1e-12, abs=0)
+                assert a.proxy_radius == pytest.approx(b.proxy_radius, rel=1e-12,
+                                                       abs=1e-300)
+
+    @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 5)])
+    def test_one_probs_call_per_iterate_for_the_batch(self, mode, grads):
+        c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
+        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=5,
+                             n_samples=3, grad_mode=mode)
+        optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg)
+        assert calls == {"probs": 6, "grads": grads}
+
+    def test_non_finite_start_scale_rejected(self):
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        cfg = SigmaOptConfig(sigma0=0.3, iters_k=2, n_samples=3)
+        with pytest.raises(ValueError):
+            optimize_sigma(c, np.zeros((4, 2)), cfg,
+                           sigma0=[0.3, math.nan, 0.3, 0.3])
+
+
 class TestGradSigma:
     def test_constant_classifier_gradient_is_r_over_sigma(self):
         c = constant_classifier([0.9, 0.1], dim=2)
@@ -195,6 +257,17 @@ class TestGradSigma:
             r, _ = proxy_radius(c, [1.0, 0.0], sigma, noise)
             if abs(r) > 0.01:
                 assert ga == pytest.approx(gf, rel=1e-3)
+
+    def test_clamped_means_contribute_zero_slope(self):
+        # both means lie beyond the clamp, so the realized objective is sigma
+        # times a constant quantile gap and its slope is R / sigma
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        noise = draw_noise(np.random.default_rng(2), 2000, 2)
+        r, _ = proxy_radius(c, [2.2, 0.0], 0.3, noise)
+        ga = grad_sigma(c, [2.2, 0.0], 0.3, noise, GRAD_ANALYTIC)
+        gf = grad_sigma(c, [2.2, 0.0], 0.3, noise, GRAD_SCALAR_FD, fd_step=1e-4)
+        assert ga == pytest.approx(r / 0.3, rel=1e-12)
+        assert gf == pytest.approx(r / 0.3, rel=1e-9)
 
     def test_analytic_requires_derivatives(self):
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)

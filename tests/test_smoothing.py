@@ -53,6 +53,15 @@ class TestSeeding:
         b = rng_for_input(7, 3).standard_normal(5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_batched_draw_consumes_like_one_draw_per_input(self, kind):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        batch = draw_noise(a, 6, 3, kind, lead=(4,))
+        assert batch.draws.shape == (4, 6, 3) and len(batch) == 6
+        each = np.stack([draw_noise(b, 6, 3, kind).draws for _ in range(4)])
+        assert np.array_equal(batch.draws, each)
+        assert a.random() == b.random()
+
     def test_streams_differ_across_inputs_and_channels(self):
         a = rng_for_input(7, 3).standard_normal(5)
         b = rng_for_input(7, 4).standard_normal(5)
@@ -251,6 +260,22 @@ class TestProxyRadius:
             radii, top, _, _ = plugin_radii(c, x, scales, noise)
             assert [(r, t) for r, t in zip(radii, top)] == [
                 one_scale(c, x, s, noise) for s in scales]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_plugin_radii_broadcast_over_inputs(self, kind):
+        c = affine_softmax_classifier([[1.0, 0.3], [-0.5, 0.8], [0.2, -1.0]],
+                                      [0.0, 0.1, -0.2])
+        rng = np.random.default_rng(12)
+        xs = rng.normal(size=(5, 2))
+        scales = rng.uniform(0.1, 1.5, size=(5, 3))
+        noise = draw_noise(rng, 8, 2, kind, lead=(5,))
+        radii, top, runner, means = plugin_radii(c, xs, scales, noise)
+        assert radii.shape == top.shape == runner.shape == (5, 3)
+        assert means.shape == (5, 3, 3)
+        for i in range(5):
+            one = plugin_radii(c, xs[i], scales[i], NoiseBatch(kind, noise.draws[i]))
+            for got, want in zip((radii[i], top[i], runner[i], means[i]), one):
+                assert np.array_equal(got, want)
 
     def test_wrong_noise_kind_rejected(self):
         c = constant_classifier([0.8, 0.2], dim=2)
