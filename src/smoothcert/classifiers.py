@@ -72,6 +72,12 @@ def _require_finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_dim(dim) -> int:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
 @dataclass
 class ClassifierHandle:
     """Soft classifier with batch evaluation and optional input gradients.
@@ -149,6 +155,7 @@ def directional_derivative(c: ClassifierHandle, x, class_idx: int, v,
 
 def constant_classifier(probs, dim: int) -> ClassifierHandle:
     """Classifier that outputs the same simplex vector everywhere."""
+    dim = _require_dim(dim)
     p = validate_simplex(np.asarray(probs, dtype=float))
     k = p.size
 
@@ -158,8 +165,8 @@ def constant_classifier(probs, dim: int) -> ClassifierHandle:
     def grad_fn(points):
         return np.zeros((len(points), k, points.shape[1]))
 
-    return ClassifierHandle("constant", int(dim), k, probs_fn, grad_fn,
-                            params={"probs": p.tolist(), "dim": int(dim)})
+    return ClassifierHandle("constant", dim, k, probs_fn, grad_fn,
+                            params={"probs": p.tolist(), "dim": dim})
 
 
 def affine_softmax_classifier(weights, bias) -> ClassifierHandle:
@@ -225,7 +232,7 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
 
 def nested_ball_classifier(rho: float, dim: int) -> ClassifierHandle:
     """Hard binary classifier: class 1 iff ||x||_2 <= rho (value-only)."""
-    rho = float(rho)
+    rho, dim = float(rho), _require_dim(dim)
     if not 0 < rho < np.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
 
@@ -233,8 +240,8 @@ def nested_ball_classifier(rho: float, dim: int) -> ClassifierHandle:
         ind = (np.linalg.norm(points, axis=1) <= rho).astype(float)
         return np.stack([1.0 - ind, ind], axis=1)
 
-    return ClassifierHandle("nested_ball", int(dim), 2, probs_fn, None,
-                            params={"rho": rho, "dim": int(dim)})
+    return ClassifierHandle("nested_ball", dim, 2, probs_fn, None,
+                            params={"rho": rho, "dim": dim})
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ import sys
 import numpy as np
 
 from .classifiers import load_classifier
-from .pipeline import (DEFAULT_RADII, CampaignConfig, metrics_from_records,
-                       read_report_csv, run_campaign, run_training_demo)
+from .pipeline import (DEFAULT_RADII, CampaignConfig, checked_radii_grid,
+                       metrics_from_records, read_report_csv, run_campaign,
+                       run_training_demo)
 from .sigma_opt import SigmaOptConfig, optimize_sigma
 from .smoothing import GaussianCertConfig
 
@@ -174,7 +175,7 @@ def _cmd_train_demo(args) -> int:
 
 def _cmd_report(args) -> int:
     records = read_report_csv(args.in_path)
-    metrics = metrics_from_records(records, _parse_radii(args.radii))
+    metrics = metrics_from_records(records, checked_radii_grid(_parse_radii(args.radii)))
     print(json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
     return 0
 

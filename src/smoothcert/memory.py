@@ -12,12 +12,14 @@ The formulas hold for L2 and L1 balls in any dimension: by the triangle
 inequality a ball of radius R - ||c - c'|| at c' lies inside the ball of
 radius R at c, and balls with ||c - c'|| >= r + r' share no interior point.
 
-Every decision is made in two steps. A vectorised numpy screen over the
-stored centers and radii keeps the entries that could touch, with a margin
-of ``_SCREEN_EPS`` (relative and absolute) that covers the rounding gap
-between numpy and ``math.dist``; the exact scalar test then runs over those
-entries only, in insertion order (on insert) or in (i, j) order (on load),
-so the results equal those of a full scalar scan.
+The store keeps its regions only as numpy arrays; ``CertifiedRegion``
+objects exist only where regions enter or leave it. Every decision is made
+in two steps. A vectorised numpy screen over the stored centers and radii
+keeps the entries that could touch, with a margin of ``_SCREEN_EPS``
+(relative and absolute) that covers the rounding gap between numpy and
+``math.dist``; the exact scalar test then runs over those entries only, in
+insertion order (on insert) or in (i, j) order (on load), so the results
+equal those of a full scalar scan.
 """
 
 from __future__ import annotations
@@ -53,9 +55,7 @@ _INVARIANT_TOL = 1e-9
 # this in any dimension under 10^6.
 _SCREEN_EPS = 1e-9
 
-# Candidate pairs checked per numpy pass in load validation; bounds the
-# temporaries to a few (chunk, d) arrays even when every pair is a candidate.
-_PAIR_CHUNK = 1 << 13
+_NUMBERS = {int, float}  # the types json gives JSON numbers; bool is not one
 
 
 class MemoryInvariantError(ValueError):
@@ -93,10 +93,10 @@ class CertifiedRegion:
         return len(self.center)
 
 
-def _distance(a: CertifiedRegion, b: CertifiedRegion) -> float:
-    if a.norm == NORM_L2:
-        return math.dist(a.center, b.center)
-    return sum(abs(u - v) for u, v in zip(a.center, b.center))
+def _distance(u, v, norm: str) -> float:
+    if norm == NORM_L2:
+        return math.dist(u, v)
+    return sum(abs(a - b) for a, b in zip(u, v))
 
 
 def _row_distances(diff: np.ndarray, norm: str) -> np.ndarray:
@@ -115,17 +115,18 @@ def _within(dist: np.ndarray, limit: np.ndarray) -> np.ndarray:
     return (dist <= limit * (1.0 + _SCREEN_EPS) + _SCREEN_EPS) | np.isinf(dist)
 
 
-def _check_compatible(a: CertifiedRegion, b: CertifiedRegion) -> None:
-    if a.norm != b.norm:
-        raise ValueError(f"norm mismatch: {a.norm!r} vs {b.norm!r}")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _check_compatible(a: tuple[str, int], b: tuple[str, int]) -> None:
+    """Raise unless two (norm, dim) pairs agree."""
+    if a[0] != b[0]:
+        raise ValueError(f"norm mismatch: {a[0]!r} vs {b[0]!r}")
+    if a[1] != b[1]:
+        raise ValueError(f"dimension mismatch: {a[1]} vs {b[1]}")
 
 
 def intersect(a: CertifiedRegion, b: CertifiedRegion) -> bool:
     """Whether two closed balls overlap; tangency does not count."""
-    _check_compatible(a, b)
-    return _distance(a, b) < a.radius + b.radius
+    _check_compatible((a.norm, a.dim), (b.norm, b.dim))
+    return _distance(a.center, b.center, a.norm) < a.radius + b.radius
 
 
 def largest_in_subset(outer: CertifiedRegion, cand: CertifiedRegion) -> float:
@@ -134,8 +135,8 @@ def largest_in_subset(outer: CertifiedRegion, cand: CertifiedRegion) -> float:
     Requires cand.center to lie in the outer ball; the answer is
     min(cand.radius, outer.radius - distance).
     """
-    _check_compatible(outer, cand)
-    d = _distance(outer, cand)
+    _check_compatible((outer.norm, outer.dim), (cand.norm, cand.dim))
+    d = _distance(outer.center, cand.center, outer.norm)
     if d > outer.radius:
         raise ValueError(
             f"candidate center lies outside the outer ball (distance {d} > "
@@ -149,8 +150,8 @@ def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> floa
     Requires cand.center to lie outside the obstacle; the answer is
     min(cand.radius, distance - obstacle.radius).
     """
-    _check_compatible(obstacle, cand)
-    d = _distance(obstacle, cand)
+    _check_compatible((obstacle.norm, obstacle.dim), (cand.norm, cand.dim))
+    d = _distance(obstacle.center, cand.center, obstacle.norm)
     if d <= obstacle.radius:
         raise ValueError(
             f"candidate center lies inside the obstacle (distance {d} <= "
@@ -161,40 +162,65 @@ def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> floa
 class MemoryStore:
     """Ordered region collection; single-writer, cross-prediction disjoint.
 
-    ``regions`` is the record, in insertion order; the centers (N, d) and
-    radii (N,) are mirrored in numpy arrays, grown by doubling, for the
-    screen. Only ``memory_insert`` and ``load_memory`` add regions.
+    The record is four arrays in insertion order, grown by doubling:
+    centers (N, d), radii, predictions and sigmas, plus the one ``norm`` of
+    the store (None while it is empty). ``regions`` builds the list of
+    ``CertifiedRegion`` from them on each access. Only ``memory_insert``
+    (through ``_append``) and ``load_memory`` write.
 
     Insertions are strictly serialized because overlap handling is order
     sensitive; reads may run concurrently between insertions.
     """
 
     def __init__(self):
-        self.regions: list[CertifiedRegion] = []
+        self.norm: str | None = None
+        self._size = 0
         self._centers = np.empty((0, 0))
         self._radii = np.empty(0)
+        self._preds = np.empty(0, dtype=np.int64)
+        self._sigmas = np.empty(0)
         self.insertions = 0
         self.comparisons = 0
         self.overlap_events = 0
         self.adjusted_insertions = 0
 
     def __len__(self) -> int:
-        return len(self.regions)
+        return self._size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MemoryStore):
             return NotImplemented
         return self.regions == other.regions
 
+    @property
+    def dim(self) -> int | None:
+        return self._centers.shape[1] if self._size else None
+
+    @property
+    def regions(self) -> list[CertifiedRegion]:
+        """The stored regions in insertion order, built from the arrays."""
+        return [CertifiedRegion(tuple(c), r, p, s, self.norm)
+                for c, r, p, s in self._rows()]
+
+    def _rows(self):
+        """(center list, radius, prediction, sigma) per region, as Python scalars."""
+        n = self._size
+        return zip(self._centers[:n].tolist(), self._radii[:n].tolist(),
+                   self._preds[:n].tolist(), self._sigmas[:n].tolist())
+
     def _append(self, region: CertifiedRegion) -> None:
-        n = len(self.regions)
+        n = self._size
         if n == len(self._radii):
             capacity = max(16, 2 * n)
             self._centers = np.resize(self._centers, (capacity, region.dim))
-            self._radii = np.resize(self._radii, capacity)
+            self._radii, self._preds, self._sigmas = (
+                np.resize(v, capacity) for v in (self._radii, self._preds, self._sigmas))
         self._centers[n] = region.center
         self._radii[n] = region.radius
-        self.regions.append(region)
+        self._preds[n] = region.prediction
+        self._sigmas[n] = region.sigma_used
+        self.norm = region.norm
+        self._size = n + 1
 
 
 def memory_insert(store: MemoryStore, region: CertifiedRegion
@@ -212,26 +238,27 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
     screen ignores predictions, because an override changes the prediction
     mid-scan. ``comparisons`` still counts every stored region.
     """
-    n = len(store.regions)
-    hits: list[int] = []
+    n = len(store)
+    hits = []
     if n:
-        _check_compatible(store.regions[0], region)
+        _check_compatible((store.norm, store.dim), (region.norm, region.dim))
         dist = _row_distances(store._centers[:n] - np.asarray(region.center),
                               region.norm)
-        hits = np.flatnonzero(_within(dist, store._radii[:n] + region.radius)).tolist()
+        hits = np.flatnonzero(_within(dist, store._radii[:n] + region.radius))
     store.comparisons += n
     cand = region
     adjusted = False
     overridden = False
-    for idx in hits:
-        entry = store.regions[idx]
-        if entry.prediction == cand.prediction:
+    for center, r_entry, p_entry in zip(store._centers[hits].tolist(),
+                                        store._radii[hits].tolist(),
+                                        store._preds[hits].tolist()):
+        if p_entry == cand.prediction:
             continue
-        d = _distance(entry, cand)
-        if d <= entry.radius:  # center inside: take the entry's prediction
-            new_r, prediction = min(cand.radius, entry.radius - d), entry.prediction
-        elif d < entry.radius + cand.radius:
-            new_r, prediction = min(cand.radius, d - entry.radius), cand.prediction
+        d = _distance(center, cand.center, cand.norm)
+        if d <= r_entry:  # center inside: take the entry's prediction
+            new_r, prediction = min(cand.radius, r_entry - d), p_entry
+        elif d < r_entry + cand.radius:
+            new_r, prediction = min(cand.radius, d - r_entry), cand.prediction
         else:
             continue
         new_r = max(0.0, new_r)
@@ -251,47 +278,42 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
 
 
 def _validate_invariant(store: MemoryStore) -> None:
-    """Raise on the first pair (i < j, in index order) of overlapping
-    differently-predicted regions.
+    """Raise on the first pair (i < j) of overlapping differently-predicted regions.
 
     Both norms bound |x0 - x0'|, so only pairs whose first-coordinate
-    intervals [x0 - r, x0 + r] meet can overlap. A sort and sweep over those
-    intervals (padded against rounding) lists the candidate pairs, a numpy
-    screen checks them chunk by chunk, and the exact scalar test decides
-    over the survivors.
+    intervals [x0 - r, x0 + r] (padded against rounding) meet can overlap;
+    sorted by lower end, positions a and a+k meet for k <= reach[a]. One
+    numpy screen per offset k over the pairs (a, a+k) keeps temporaries O(N);
+    the exact test runs over its survivors in (i, j) order, and only pairs
+    before the first overlap found so far stay in play.
     """
-    regions = store.regions
-    n = len(regions)
+    n, norm = len(store), store.norm
     if n < 2:
         return
-    centers, radii = store._centers[:n], store._radii[:n]
-    preds = np.fromiter((r.prediction for r in regions), dtype=np.int64, count=n)
+    centers, radii, preds = store._centers[:n], store._radii[:n], store._preds[:n]
     x0 = centers[:, 0]
     pad = _SCREEN_EPS * (np.abs(x0) + radii + 1.0)
-    lo, hi = x0 - radii - pad, x0 + radii + pad
-    order = np.argsort(lo)
-    lo, hi, centers, radii, preds = (v[order] for v in (lo, hi, centers, radii, preds))
-    # sorted position a meets positions a+1 .. a+counts[a]
-    counts = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
-    starts = np.cumsum(counts) - counts
-    total = int(counts.sum())
+    order = np.argsort(x0 - radii - pad)
+    centers, radii, preds, x0, pad = (v[order] for v in (centers, radii, preds, x0, pad))
+    reach = (np.searchsorted(x0 - radii - pad, x0 + radii + pad, side="right")
+             - np.arange(1, n + 1))
     first: tuple[int, int] | None = None
-    for k0 in range(0, total, _PAIR_CHUNK):
-        k = np.arange(k0, min(k0 + _PAIR_CHUNK, total))
-        a = np.searchsorted(starts, k, side="right") - 1
-        b = a + 1 + (k - starts[a])
-        differ = preds[a] != preds[b]
-        a, b = a[differ], b[differ]
-        near = _within(_row_distances(centers[a] - centers[b], regions[0].norm),
-                       radii[a] + radii[b] - _INVARIANT_TOL)
-        a, b = order[a[near]], order[b[near]]
-        for i, j in sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())):
-            if first is not None and (i, j) >= first:
+    a, k = np.flatnonzero(reach > 0), 1
+    while a.size:  # sorted positions a and a + k
+        s = a[preds[a] != preds[a + k]]
+        s = s[_within(_row_distances(centers[s] - centers[s + k], norm),
+                      radii[s] + radii[s + k] - _INVARIANT_TOL)]
+        i, j = np.minimum(order[s], order[s + k]), np.maximum(order[s], order[s + k])
+        if first is not None:
+            ahead = (i < first[0]) | ((i == first[0]) & (j < first[1]))
+            s, i, j = s[ahead], i[ahead], j[ahead]
+        for pair, p in sorted(zip(zip(i.tolist(), j.tolist()), s.tolist())):
+            if (_distance(centers[p].tolist(), centers[p + k].tolist(), norm)
+                    < radii[p] + radii[p + k] - _INVARIANT_TOL):
+                first = pair
                 break
-            ra, rb = regions[i], regions[j]
-            if _distance(ra, rb) < ra.radius + rb.radius - _INVARIANT_TOL:
-                first = (i, j)
-                break
+        k += 1
+        a = a[reach[a] >= k]
     if first is not None:
         raise MemoryInvariantError(
             f"regions {first[0]} and {first[1]} predict differently but overlap")
@@ -300,38 +322,65 @@ def _validate_invariant(store: MemoryStore) -> None:
 def save_memory(store: MemoryStore, path) -> None:
     """Write the store as one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in store.regions:
-            fh.write(json.dumps({"center": list(r.center), "radius": r.radius,
-                                 "prediction": r.prediction, "sigma": r.sigma_used,
-                                 "norm": r.norm}) + "\n")
+        for c, r, p, s in store._rows():
+            fh.write(json.dumps({"center": c, "radius": r, "prediction": p,
+                                 "sigma": s, "norm": store.norm}) + "\n")
+
+
+def _checked_row(obj: dict, first: tuple | None) -> tuple:
+    """(center, radius, prediction, sigma, norm) of a memory-file line whose
+    JSON types are right and whose norm and dimension match ``first``."""
+    row = center, radius, pred, sigma, norm = (
+        obj["center"], obj["radius"], obj["prediction"], obj["sigma"], obj["norm"])
+    if type(pred) is not int or not 0 <= pred < 2**63:  # stored as int64
+        raise ValueError(f"prediction must be a JSON integer in [0, 2**63), got {pred!r}")
+    if type(center) is not list or not center or not {*map(type, center)} <= _NUMBERS:
+        raise ValueError("center must be a non-empty JSON array of numbers, got "
+                         f"{center!r}")
+    for name, value in (("radius", radius), ("sigma", sigma)):
+        if type(value) not in _NUMBERS:
+            raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    if norm not in (NORM_L2, NORM_L1):
+        raise ValueError(f"unknown norm {norm!r}")
+    first = first or row
+    _check_compatible((first[4], len(first[0])), (norm, len(center)))
+    return row
 
 
 def load_memory(path) -> MemoryStore:
     """Read a JSON-lines memory file, re-validating the no-overlap invariant.
 
-    Predictions must be JSON integers; every pair of differently-predicted
-    regions is checked, and the first overlapping pair (i < j) is named.
+    Each line is checked for JSON types and the first line's norm and
+    dimension, then all lines at once in numpy for finite values and radii
+    >= 0, naming the first bad line; then every differently-predicted pair
+    is checked, naming the first overlapping pair (i < j).
     """
-    store = MemoryStore()
+    rows, linenos, error = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                if type(obj["prediction"]) is not int:
-                    raise ValueError("prediction must be a JSON integer, got "
-                                     f"{obj['prediction']!r}")
-                region = CertifiedRegion(center=obj["center"], radius=obj["radius"],
-                                         prediction=obj["prediction"],
-                                         sigma_used=float(obj["sigma"]),
-                                         norm=obj["norm"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
-            if store.regions:
-                _check_compatible(store.regions[0], region)
-            store._append(region)
+                rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
+            except (KeyError, TypeError, ValueError) as exc:
+                error = (lineno, exc)
+                break
+            linenos.append(lineno)
+    store = MemoryStore()
+    if rows:
+        centers, radii, preds, sigmas, norms = zip(*rows)
+        store._centers, store._radii, store._sigmas = (
+            np.asarray(v, dtype=float) for v in (centers, radii, sigmas))
+        store._preds = np.asarray(preds, dtype=np.int64)
+        store.norm, store._size = norms[0], len(rows)
+        bad = ~np.isfinite(np.column_stack(
+            [store._centers, store._radii, store._sigmas])).all(axis=1) | (store._radii < 0)
+        if bad.any():  # every parsed row precedes an unparsable line
+            k = int(bad.argmax())
+            error = (linenos[k], ValueError("center, radius and sigma must be finite and "
+                                            f"radius >= 0, got {rows[k][:4]}"))
+    if error is not None:
+        raise ValueError(f"{path}: bad region on line {error[0]}: {error[1]}") from error[1]
     _validate_invariant(store)
     return store
 
@@ -343,7 +392,7 @@ def audit(store: MemoryStore, cert_sample_cost: int = 100_000) -> dict:
     N*p + (1-p)*(2N + n) at the observed overlap frequency p, where N is the
     store size and n the Monte Carlo cost of one certification.
     """
-    n_regions = len(store.regions)
+    n_regions = len(store)
     p = (store.adjusted_insertions / store.insertions) if store.insertions else 0.0
     cost = n_regions * p + (1.0 - p) * (2.0 * n_regions + cert_sample_cost)
     return {

@@ -40,6 +40,7 @@ __all__ = [
     "GaussianAugmentationTrainer",
     "certified_accuracy_curve",
     "average_certified_radius",
+    "checked_radii_grid",
     "emit_report",
     "read_report_csv",
     "metrics_from_records",
@@ -118,6 +119,17 @@ def load_dataset(path) -> LabeledDataset:
     return LabeledDataset(np.asarray(rows), np.asarray(labels))
 
 
+def checked_radii_grid(radii) -> tuple[float, ...]:
+    """The certified-accuracy grid as floats; it must be finite, start at 0 and
+    strictly increase."""
+    grid = tuple(float(r) for r in radii)
+    if (not grid or grid[0] != 0.0 or not all(map(math.isfinite, grid))
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise ValueError("radii grid must be finite, start at 0 and strictly "
+                         f"increase, got {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything a certification campaign needs.
@@ -140,12 +152,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        grid = tuple(float(r) for r in self.radii_grid)
-        if (not grid or grid[0] != 0.0 or not all(map(math.isfinite, grid))
-                or any(b <= a for a, b in zip(grid, grid[1:]))):
-            raise ValueError("radii grid must be finite, start at 0 and strictly "
-                             f"increase, got {grid}")
-        object.__setattr__(self, "radii_grid", grid)
+        object.__setattr__(self, "radii_grid", checked_radii_grid(self.radii_grid))
 
 
 @dataclass(frozen=True)
@@ -234,12 +241,12 @@ def run_campaign(cfg: CampaignConfig,
     if bad.size:
         raise ValueError(f"row {bad[0]}: label {dataset.labels[bad[0]]} is not a "
                          f"class of the {classifier.num_classes}-class classifier")
-    if cfg.mode != MODE_FIXED and memory.regions and len(dataset):
-        held, norm = memory.regions[0], NORM_L1 if cfg.mode == MODE_DS_L1 else NORM_L2
-        if (held.norm, held.dim) != (norm, dataset.dim):
+    if cfg.mode != MODE_FIXED and len(memory) and len(dataset):
+        norm = NORM_L1 if cfg.mode == MODE_DS_L1 else NORM_L2
+        if (memory.norm, memory.dim) != (norm, dataset.dim):
             raise ValueError(
-                f"memory mismatch: mode {cfg.mode} needs {norm} regions of dim "
-                f"{dataset.dim}, the memory holds {held.norm} regions of dim {held.dim}")
+                f"memory mismatch: mode {cfg.mode} needs {norm} regions of dim {dataset.dim}, "
+                f"the memory holds {memory.norm} regions of dim {memory.dim}")
 
     if cfg.mode == MODE_FIXED:
         scales = [cfg.cert.sigma] * len(dataset)
@@ -465,8 +472,12 @@ def read_report_csv(path) -> list[CertRecord]:
                 raise ValueError(f"{path}: line {lineno}: expected "
                                  f"{len(REPORT_HEADER)} fields")
             pred = ABSTAIN if row[2] == "ABSTAIN" else int(row[2])
+            radius, sigma_star, p_lower = map(float, row[4:7])
+            if not all(map(math.isfinite, (radius, sigma_star, p_lower))):
+                raise ValueError(f"{path}: line {lineno}: radius, sigma_star and "
+                                 "p_lower must be finite")
             records.append(CertRecord(idx=int(row[0]), label=int(row[1]),
-                                      prediction=pred, radius=float(row[4]),
-                                      p_lower=float(row[6]), sigma_star=float(row[5]),
+                                      prediction=pred, radius=radius,
+                                      p_lower=p_lower, sigma_star=sigma_star,
                                       adjusted=bool(int(row[7]))))
     return records

@@ -281,6 +281,14 @@ class TestJsonConfig:
         with pytest.raises(ValueError, match="finite|simplex"):
             classifier_from_config(cfg)
 
+    @pytest.mark.parametrize("kind", ["constant", "nested_ball"])
+    @pytest.mark.parametrize("dim", [0, -3, True, 2.7, "2", None])
+    def test_dim_must_be_a_positive_integer(self, kind, dim):
+        cfg = ({"kind": "constant", "probs": [0.5, 0.5]} if kind == "constant"
+               else {"kind": "nested_ball", "rho": 1.0})
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            classifier_from_config({**cfg, "dim": dim})
+
     def test_non_finite_mlp_state_rejected(self):
         mlp = TinyMLP(2, 4, 2, rng=np.random.default_rng(9))
         mlp.b1[0] = math.inf

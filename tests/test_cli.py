@@ -188,6 +188,26 @@ class TestReport:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert cli_main(["report", "--in", str(tmp_path / "nope.csv")]) == 1
 
+    def test_non_finite_row_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("idx,label,prediction,correct,radius,sigma_star,p_lower,"
+                        "adjusted_by_memory\n"
+                        "0,1,1,1,0.5,0.25,0.99,0\n"
+                        "1,0,0,1,nan,0.25,0.99,0\n")
+        assert cli_main(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3" in captured.err and "finite" in captured.err
+
+    def test_non_finite_radii_grid_is_runtime_error(self, workspace, capsys):
+        tmp, data, clf = workspace
+        out = tmp / "r.csv"
+        assert cli_main(certify_args(data, clf, out, ["--seed", "5"])) == 0
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out), "--radii", "0.5,nan,0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "radii grid" in captured.err
+
 
 class TestOptimizeSigma:
     def test_prints_trace(self, workspace, capsys):

@@ -513,6 +513,24 @@ class TestAgainstReferenceScan:
                            match=f"regions 5 and {n - 1} predict"):
             load_memory(path)
 
+    def test_all_overlap_store_is_checked_in_bounded_memory(self, tmp_path):
+        # every pair overlaps and neighbours disagree: one sweep offset per
+        # region, each holding nearly every remaining pair as a candidate
+        rng = np.random.default_rng(4)
+        n, d = 2000, 16
+        regions = [region(c, 10.0, i % 2) for i, c in enumerate(rng.normal(size=(n, d)))]
+        path = tmp_path / "memory.jsonl"
+        write_regions(path, regions)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryInvariantError,
+                               match="regions 0 and 1 predict differently but overlap"):
+                load_memory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -572,6 +590,68 @@ class TestPersistence:
             '"sigma": 0.25, "norm": "l2"}\n')
         with pytest.raises(ValueError, match="line 2.*JSON integer"):
             load_memory(path)
+
+    @pytest.mark.parametrize("name,value", [
+        ("center", '"12"'), ("center", "[true, 2]"), ("center", "[]"), ("center", "1.0"),
+        ("radius", "true"), ("radius", '"1.0"'), ("sigma", '"0.2"'), ("sigma", "false"),
+        ("prediction", str(2**63)),
+    ])
+    def test_wrong_json_type_names_line(self, tmp_path, name, value):
+        fields = {"center": "[5.0, 2.0]", "radius": "1.0", "prediction": "1",
+                  "sigma": "0.25", name: value}
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0, 0.0], "radius": 1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n'
+            "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + ', "norm": "l2"}\n')
+        with pytest.raises(ValueError, match=f"line 2: {name} must"):
+            load_memory(path)
+
+    @pytest.mark.parametrize("second,message", [
+        ('"center": [5.0, 0.0, 0.0], "norm": "l2"', "dimension mismatch: 2 vs 3"),
+        ('"center": [5.0, 0.0], "norm": "l1"', "norm mismatch: 'l2' vs 'l1'"),
+    ])
+    def test_mixed_norms_or_dimensions_name_path_and_line(self, tmp_path, second,
+                                                         message):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0, 0.0], "radius": 1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n\n'
+            f'{{{second}, "radius": 1.0, "prediction": 1, "sigma": 0.25}}\n')
+        with pytest.raises(ValueError) as exc:
+            load_memory(path)
+        assert str(exc.value) == f"{path}: bad region on line 3: {message}"
+
+    def test_bad_value_before_an_unparsable_line_is_named_first(self, tmp_path):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0], "radius": -1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n'
+            'not json\n')
+        with pytest.raises(ValueError, match="line 1: .*radius >= 0"):
+            load_memory(path)
+
+    def test_file_format_is_pinned(self, tmp_path):
+        l2, l1 = MemoryStore(), MemoryStore()
+        memory_insert(l2, region((0.1, -2.0), 0.1 + 0.2, 1, sigma=0.25))
+        memory_insert(l2, region((1e16, 1e-07), 2.0, 0, sigma=1.0 / 3.0))
+        memory_insert(l1, region((-0.0, 3.5, 7.0), 0.0, 2, sigma=2.0, norm="l1"))
+        memory_insert(l1, region((0.5, 3.5, 7.0), 1.25, 0, sigma=0.5, norm="l1"))
+        expected = [
+            (l2, '{"center": [0.1, -2.0], "radius": 0.30000000000000004, '
+                '"prediction": 1, "sigma": 0.25, "norm": "l2"}\n'
+                '{"center": [1e+16, 1e-07], "radius": 2.0, "prediction": 0, '
+                '"sigma": 0.3333333333333333, "norm": "l2"}\n'),
+            (l1, '{"center": [-0.0, 3.5, 7.0], "radius": 0.0, "prediction": 2, '
+                '"sigma": 2.0, "norm": "l1"}\n'
+                '{"center": [0.5, 3.5, 7.0], "radius": 0.5, "prediction": 0, '
+                '"sigma": 0.5, "norm": "l1"}\n'),
+        ]
+        for store, text in expected:
+            path = tmp_path / "memory.jsonl"
+            save_memory(store, path)
+            assert path.read_bytes() == text.encode()
+            assert load_memory(path) == store
 
     def test_negative_prediction_names_line(self, tmp_path):
         path = tmp_path / "memory.jsonl"
