@@ -13,13 +13,15 @@ inequality a ball of radius R - ||c - c'|| at c' lies inside the ball of
 radius R at c, and balls with ||c - c'|| >= r + r' share no interior point.
 
 The store keeps its regions only as numpy arrays; ``CertifiedRegion``
-objects exist only where regions enter or leave it. Every decision is made
-in two steps. A vectorised numpy screen over the stored centers and radii
-keeps the entries that could touch, with a margin of ``_SCREEN_EPS``
-(relative and absolute) that covers the rounding gap between numpy and
-``math.dist``; the exact scalar test then runs over those entries only, in
-insertion order (on insert) or in (i, j) order (on load), so the results
-equal those of a full scalar scan.
+objects exist only where regions enter or leave it. A memory file is read in
+one pass that checks each line in full as it is read, and written one
+formatted line per region. Every overlap decision is made in two steps. A
+vectorised numpy screen over the stored centers and radii keeps the entries
+that could touch, with a margin of ``_SCREEN_EPS`` (relative and absolute)
+that covers the rounding gap between numpy and ``math.dist``; the exact
+scalar test then runs over those entries only, in insertion order (on
+insert) or in (i, j) order (on load), so the results equal those of a full
+scalar scan.
 """
 
 from __future__ import annotations
@@ -246,30 +248,30 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
                               region.norm)
         hits = np.flatnonzero(_within(dist, store._radii[:n] + region.radius))
     store.comparisons += n
-    cand = region
-    adjusted = False
-    overridden = False
+    radius, prediction = region.radius, region.prediction
+    adjusted = overridden = False
     for center, r_entry, p_entry in zip(store._centers[hits].tolist(),
                                         store._radii[hits].tolist(),
                                         store._preds[hits].tolist()):
-        if p_entry == cand.prediction:
+        if p_entry == prediction:
             continue
-        d = _distance(center, cand.center, cand.norm)
+        d = _distance(center, region.center, region.norm)
         if d <= r_entry:  # center inside: take the entry's prediction
-            new_r, prediction = min(cand.radius, r_entry - d), p_entry
-        elif d < r_entry + cand.radius:
-            new_r, prediction = min(cand.radius, d - r_entry), cand.prediction
+            new_r, new_p = min(radius, r_entry - d), p_entry
+        elif d < r_entry + radius:
+            new_r, new_p = min(radius, d - r_entry), prediction
         else:
             continue
         new_r = max(0.0, new_r)
-        if overridden and new_r < cand.radius - _INVARIANT_TOL:
+        if overridden and new_r < radius - _INVARIANT_TOL:
             raise MemoryInvariantError(
                 "a second differently-predicted entry forced shrinking "
                 "after a prediction override; the store invariant is broken")
-        overridden = overridden or prediction != cand.prediction
-        cand = replace(cand, radius=new_r, prediction=prediction)
+        overridden = overridden or new_p != prediction
+        radius, prediction = new_r, new_p
         adjusted = True
         store.overlap_events += 1
+    cand = replace(region, radius=radius, prediction=prediction) if adjusted else region
     store._append(cand)
     store.insertions += 1
     if adjusted:
@@ -320,16 +322,18 @@ def _validate_invariant(store: MemoryStore) -> None:
 
 
 def save_memory(store: MemoryStore, path) -> None:
-    """Write the store as one JSON object per line."""
+    """Write the store as one JSON object per line, formatted directly: ``repr``
+    of the finite floats the store holds gives the bytes ``json.dumps`` would."""
     with open(path, "w", encoding="utf-8") as fh:
-        for c, r, p, s in store._rows():
-            fh.write(json.dumps({"center": c, "radius": r, "prediction": p,
-                                 "sigma": s, "norm": store.norm}) + "\n")
+        fh.writelines(f'{{"center": {c!r}, "radius": {r!r}, "prediction": {p}, '
+                      f'"sigma": {s!r}, "norm": "{store.norm}"}}\n'
+                      for c, r, p, s in store._rows())
 
 
 def _checked_row(obj: dict, first: tuple | None) -> tuple:
-    """(center, radius, prediction, sigma, norm) of a memory-file line whose
-    JSON types are right and whose norm and dimension match ``first``."""
+    """(center, radius, prediction, sigma, norm) of a memory-file line, checked
+    in full: JSON types, norm and dimension against ``first``, then finite
+    values and radius >= 0."""
     row = center, radius, pred, sigma, norm = (
         obj["center"], obj["radius"], obj["prediction"], obj["sigma"], obj["norm"])
     if type(pred) is not int or not 0 <= pred < 2**63:  # stored as int64
@@ -343,29 +347,32 @@ def _checked_row(obj: dict, first: tuple | None) -> tuple:
     if norm not in (NORM_L2, NORM_L1):
         raise ValueError(f"unknown norm {norm!r}")
     first = first or row
-    _check_compatible((first[4], len(first[0])), (norm, len(center)))
+    if norm != first[4] or len(center) != len(first[0]):
+        _check_compatible((first[4], len(first[0])), (norm, len(center)))
+    # a float sum is finite only if each term is (ints convert one at a time)
+    if not (math.isfinite(sum(center, 0.0 + radius + sigma))
+            or all(map(math.isfinite, (*center, radius, sigma)))) or radius < 0:
+        raise ValueError("center, radius and sigma must be finite and radius >= 0, "
+                         f"got {row[:4]}")
     return row
 
 
 def load_memory(path) -> MemoryStore:
     """Read a JSON-lines memory file, re-validating the no-overlap invariant.
 
-    Each line is checked for JSON types and the first line's norm and
-    dimension, then all lines at once in numpy for finite values and radii
-    >= 0, naming the first bad line; then every differently-predicted pair
-    is checked, naming the first overlapping pair (i < j).
+    One pass checks each line in full as it is read (JSON types, the first
+    line's norm and dimension, finite values, radius >= 0; an integer beyond
+    float range fails too) and raises on the first bad line, naming path and
+    line. Then the first overlapping differently-predicted pair (i < j) is named.
     """
-    rows, linenos, error = [], [], None
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
-            except (KeyError, TypeError, ValueError) as exc:
-                error = (lineno, exc)
-                break
-            linenos.append(lineno)
+                if line.strip():
+                    rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
     store = MemoryStore()
     if rows:
         centers, radii, preds, sigmas, norms = zip(*rows)
@@ -373,14 +380,6 @@ def load_memory(path) -> MemoryStore:
             np.asarray(v, dtype=float) for v in (centers, radii, sigmas))
         store._preds = np.asarray(preds, dtype=np.int64)
         store.norm, store._size = norms[0], len(rows)
-        bad = ~np.isfinite(np.column_stack(
-            [store._centers, store._radii, store._sigmas])).all(axis=1) | (store._radii < 0)
-        if bad.any():  # every parsed row precedes an unparsable line
-            k = int(bad.argmax())
-            error = (linenos[k], ValueError("center, radius and sigma must be finite and "
-                                            f"radius >= 0, got {rows[k][:4]}"))
-    if error is not None:
-        raise ValueError(f"{path}: bad region on line {error[0]}: {error[1]}") from error[1]
     _validate_invariant(store)
     return store
 

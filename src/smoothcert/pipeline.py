@@ -111,9 +111,9 @@ def load_dataset(path) -> LabeledDataset:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"{path}: line {lineno}: features must be finite")
-            if labels[-1] < 0:
+            if not 0 <= labels[-1] < 2**63:  # stored as int64
                 raise ValueError(f"{path}: line {lineno}: label must be a "
-                                 f"nonnegative class index, got {labels[-1]}")
+                                 f"nonnegative class index below 2**63, got {labels[-1]}")
     if not rows:
         raise ValueError(f"{path}: dataset is empty")
     return LabeledDataset(np.asarray(rows), np.asarray(labels))

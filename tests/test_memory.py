@@ -437,6 +437,34 @@ class TestAgainstReferenceScan:
         with pytest.raises(MemoryInvariantError, match="regions 0 and 1"):
             load_memory(path)
 
+    @pytest.mark.parametrize("norm,radii", [("l2", (2.0, 3.0)), ("l1", (3.0, 4.0))])
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_centers_far_from_the_origin(self, tmp_path, d, norm, radii):
+        # every coordinate is offset by 1e6, so a screen built from
+        # |a|^2 + |b|^2 - 2 a.b would cancel away most of the distance
+        base = np.full(d, 1e6)
+        step = np.zeros(d)
+        step[:2] = 3.0, 4.0  # exact distance 5 (L2) or 7 (L1): a tangent pair
+        path = tmp_path / "memory.jsonl"
+        store, ref = MemoryStore(), RefStore()
+        first = region(base, radii[0], 0, norm=norm)
+        insert_both(store, ref, first)
+        pred, final, adjusted = insert_both(store, ref,
+                                            region(base + step, radii[1], 1, norm=norm))
+        assert (pred, final.radius, adjusted) == (1, radii[1], False)
+        save_memory(store, path)
+        assert load_memory(path) == store
+        # move the second center 64 ulps closer: an overlap of a few 1e-9
+        step[0] -= 64 * math.ulp(1e6)
+        store, ref = MemoryStore(), RefStore()
+        insert_both(store, ref, first)
+        second = region(base + step, radii[1], 1, norm=norm)
+        pred, final, adjusted = insert_both(store, ref, second)
+        assert pred == 1 and adjusted and final.radius < radii[1]
+        write_regions(path, [first, second])
+        with pytest.raises(MemoryInvariantError, match="regions 0 and 1"):
+            load_memory(path)
+
     def test_shrink_after_override_by_an_entry_of_the_original_prediction(
             self, tmp_path):
         # entry 1 predicts what the candidate first predicts and overlaps
@@ -622,6 +650,32 @@ class TestPersistence:
             load_memory(path)
         assert str(exc.value) == f"{path}: bad region on line 3: {message}"
 
+    @pytest.mark.parametrize("name,value", [
+        ("center", f"[1.0, {'9' * 401}]"), ("center", f"[{'9' * 401}, -{'9' * 401}]"),
+        ("radius", "9" * 401), ("sigma", "9" * 401),
+    ], ids=["center", "center-cancelling", "radius", "sigma"])
+    def test_integer_beyond_float_range_names_line(self, tmp_path, name, value):
+        fields = {"center": "[5.0, 2.0]", "radius": "1", "sigma": "1", name: value}
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            '{"center": [0.0, 0.0], "radius": 1.0, "prediction": 0, '
+            '"sigma": 0.25, "norm": "l2"}\n'
+            "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items())
+            + ', "prediction": 1, "norm": "l2"}\n')
+        with pytest.raises(ValueError) as exc:
+            load_memory(path)
+        assert str(exc.value).startswith(f"{path}: bad region on line 2: ")
+
+    def test_finite_values_whose_sum_overflows_load(self, tmp_path):
+        big = 1.7976931348623157e308
+        path = tmp_path / "memory.jsonl"
+        path.write_text(
+            f'{{"center": [{big!r}, {big!r}], "radius": {big!r}, "prediction": 0, '
+            f'"sigma": {big!r}, "norm": "l2"}}\n'
+            '{"center": [3, -4], "radius": 1, "prediction": 0, "sigma": 0, "norm": "l2"}\n')
+        assert load_memory(path).regions == [region((big, big), big, 0, sigma=big),
+                                             region((3.0, -4.0), 1.0, 0, sigma=0.0)]
+
     def test_bad_value_before_an_unparsable_line_is_named_first(self, tmp_path):
         path = tmp_path / "memory.jsonl"
         path.write_text(
@@ -652,6 +706,34 @@ class TestPersistence:
             save_memory(store, path)
             assert path.read_bytes() == text.encode()
             assert load_memory(path) == store
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=16),
+           st.sampled_from(["l2", "l1"]), st.integers(min_value=1, max_value=5))
+    def test_writer_matches_json_dumps(self, tmp_path_factory, data, d, norm, n):
+        special = st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308])
+        value = special | st.floats(allow_nan=False, allow_infinity=False)
+        size = special | st.floats(min_value=0.0, allow_infinity=False)
+        regions = [CertifiedRegion(
+            tuple(data.draw(st.lists(value, min_size=d, max_size=d))), data.draw(size),
+            data.draw(st.integers(min_value=0, max_value=2**63 - 1)), data.draw(value),
+            norm) for _ in range(n)]
+        store = MemoryStore()
+        for r in regions:
+            store._append(r)
+        path = tmp_path_factory.mktemp("writer") / "memory.jsonl"
+        save_memory(store, path)
+        assert path.read_bytes() == "".join(
+            json.dumps({"center": list(r.center), "radius": r.radius,
+                        "prediction": r.prediction, "sigma": r.sigma_used,
+                        "norm": norm}) + "\n" for r in regions).encode()
+        expected = ref_first_overlap(regions)
+        if expected is None:
+            assert load_memory(path) == store
+        else:
+            with pytest.raises(MemoryInvariantError) as exc:
+                load_memory(path)
+            assert str(exc.value) == expected
 
     def test_negative_prediction_names_line(self, tmp_path):
         path = tmp_path / "memory.jsonl"

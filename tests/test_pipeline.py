@@ -84,6 +84,12 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="line 2.*nonnegative"):
             load_dataset(p)
 
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0.1,0.2,1\n0.3,0.4,%d\n" % 2**63)
+        with pytest.raises(ValueError, match=f"{p}: line 2: .*below 2\\*\\*63"):
+            load_dataset(p)
+
     def test_non_finite_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0.1,0.2,1\n0.3,0.4,0\nnan,0.4,0\n")
