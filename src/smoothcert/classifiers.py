@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 SIMPLEX_ATOL = 1e-9
+_ONE_HOT = np.eye(2)
 
 
 class DerivativeUnsupportedError(RuntimeError):
@@ -86,7 +87,9 @@ class ClassifierHandle:
     rows. ``grad_fn``, when present, maps the same points to the full input
     Jacobian of shape (m, num_classes, dim). ``backend`` holds the mutable
     state of trainable classifiers (the perceptron); all other handles are
-    read-only and safe for concurrent evaluation.
+    read-only and safe for concurrent evaluation. ``labels_fn``, when
+    present, gives one class index per point for Monte Carlo votes and must
+    equal ``argmax(probs_fn(points), axis=1)``, ties going to the lowest index.
     """
     kind: str
     dim: int
@@ -95,17 +98,34 @@ class ClassifierHandle:
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
     backend: object | None = None
+    labels_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def trainable(self) -> bool:
         return self.backend is not None
 
-    def probs(self, points: np.ndarray) -> np.ndarray:
+    def _points(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(
                 f"expected points of shape (m, {self.dim}), got {points.shape}")
-        return self.probs_fn(points)
+        return points
+
+    def probs(self, points: np.ndarray) -> np.ndarray:
+        return self.probs_fn(self._points(points))
+
+    def labels(self, points: np.ndarray) -> np.ndarray:
+        """One class index per point: the argmax of ``probs``, lowest on ties."""
+        if self.labels_fn is None:
+            return np.argmax(self.probs(points), axis=1)
+        points = self._points(points)
+        labels = np.asarray(self.labels_fn(points))
+        if (labels.shape != (len(points),) or labels.dtype.kind not in "biu"
+                or labels.size and not 0 <= labels.min() <= labels.max() < self.num_classes):
+            raise ValueError(
+                f"classifier kind={self.kind!r} labels_fn must return {len(points)} "
+                f"class indices in [0, {self.num_classes}), got {labels!r}")
+        return labels.astype(np.intp, copy=False)
 
     def input_grads(self, points: np.ndarray) -> np.ndarray:
         if self.grad_fn is None:
@@ -116,10 +136,7 @@ class ClassifierHandle:
 
 def predict_probs(c: ClassifierHandle, x) -> np.ndarray:
     """Evaluate the classifier at a single point, returning a simplex vector."""
-    x = as_point(x)
-    if x.size != c.dim:
-        raise ValueError(f"point has dim {x.size}, classifier expects {c.dim}")
-    return validate_simplex(c.probs(x[None, :])[0])
+    return validate_simplex(c.probs(as_point(x)[None, :])[0])
 
 
 def directional_derivative(c: ClassifierHandle, x, class_idx: int, v,
@@ -190,6 +207,13 @@ def affine_softmax_classifier(weights, bias) -> ClassifierHandle:
                             params={"weights": W.tolist(), "bias": b.tolist()})
 
 
+def _hard_classifier(kind: str, dim: int, labels_fn, params: dict) -> ClassifierHandle:
+    """Value-only binary classifier whose soft output is the one-hot of its labels."""
+    return ClassifierHandle(kind, dim, 2,
+                            lambda points: _ONE_HOT.take(labels_fn(points), axis=0),
+                            None, params=params, labels_fn=labels_fn)
+
+
 def hard_halfspace_classifier(w, b: float) -> ClassifierHandle:
     """Hard binary classifier: class 1 iff w.x > b (one-hot output, value-only)."""
     w = as_point(w)
@@ -197,13 +221,8 @@ def hard_halfspace_classifier(w, b: float) -> ClassifierHandle:
         raise ValueError("w must be nonzero")
     b = float(b)
     _require_finite(b=b)
-
-    def probs_fn(points):
-        ind = (points @ w > b).astype(float)
-        return np.stack([1.0 - ind, ind], axis=1)
-
-    return ClassifierHandle("hard_halfspace", w.size, 2, probs_fn, None,
-                            params={"w": w.tolist(), "b": b})
+    return _hard_classifier("hard_halfspace", w.size, lambda points: points @ w > b,
+                            {"w": w.tolist(), "b": b})
 
 
 def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
@@ -220,6 +239,10 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
         q = sps.ndtr((points @ w - b) / s)
         return np.stack([1.0 - q, q], axis=1)
 
+    def labels_fn(points):  # the argmax of probs_fn, ties included
+        q = sps.ndtr((points @ w - b) / s)
+        return q > 1.0 - q
+
     def grad_fn(points):
         u = (points @ w - b) / s
         dens = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
@@ -227,7 +250,8 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
         return np.stack([-g1, g1], axis=1)
 
     return ClassifierHandle("probit_halfspace", w.size, 2, probs_fn, grad_fn,
-                            params={"w": w.tolist(), "b": b, "s": s})
+                            params={"w": w.tolist(), "b": b, "s": s},
+                            labels_fn=labels_fn)
 
 
 def nested_ball_classifier(rho: float, dim: int) -> ClassifierHandle:
@@ -235,13 +259,9 @@ def nested_ball_classifier(rho: float, dim: int) -> ClassifierHandle:
     rho, dim = float(rho), _require_dim(dim)
     if not 0 < rho < np.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
-
-    def probs_fn(points):
-        ind = (np.linalg.norm(points, axis=1) <= rho).astype(float)
-        return np.stack([1.0 - ind, ind], axis=1)
-
-    return ClassifierHandle("nested_ball", dim, 2, probs_fn, None,
-                            params={"rho": rho, "dim": dim})
+    return _hard_classifier("nested_ball", dim,
+                            lambda points: np.linalg.norm(points, axis=1) <= rho,
+                            {"rho": rho, "dim": dim})
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -270,15 +290,15 @@ class TinyMLP:
         self.w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(num_classes, hidden))
         self.b2 = np.zeros(num_classes)
 
-    def _hidden(self, points: np.ndarray) -> np.ndarray:
-        return np.tanh(points @ self.w1.T + self.b1)
+    def _forward(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = np.tanh(points @ self.w1.T + self.b1)         # (m, H)
+        return h, _softmax(h @ self.w2.T + self.b2)       # (m, k)
 
     def probs(self, points: np.ndarray) -> np.ndarray:
-        return _softmax(self._hidden(points) @ self.w2.T + self.b2)
+        return self._forward(points)[1]
 
     def input_grads(self, points: np.ndarray) -> np.ndarray:
-        h = self._hidden(points)                          # (m, H)
-        p = _softmax(h @ self.w2.T + self.b2)             # (m, k)
+        h, p = self._forward(points)
         gate = 1.0 - h * h                                # (m, H)
         # d logits_c / dx = W2[c] @ diag(gate) @ W1
         jac = np.einsum("kh,mh,hd->mkd", self.w2, gate, self.w1)
@@ -290,8 +310,7 @@ class TinyMLP:
         points = np.asarray(points, dtype=float)
         labels = np.asarray(labels, dtype=int)
         m = len(points)
-        h = self._hidden(points)
-        p = _softmax(h @ self.w2.T + self.b2)
+        h, p = self._forward(points)
         loss = float(-np.mean(np.log(np.maximum(p[np.arange(m), labels], 1e-300))))
         dlogits = p.copy()
         dlogits[np.arange(m), labels] -= 1.0

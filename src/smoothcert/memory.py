@@ -112,7 +112,7 @@ def _within(dist: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """Screen: True wherever the exact distance may be <= limit.
 
     An infinite numpy distance (squares overflowing) is kept, since the exact
-    distance may still be finite.
+    distance may still be finite; callers silence the overflow warnings.
     """
     return (dist <= limit * (1.0 + _SCREEN_EPS) + _SCREEN_EPS) | np.isinf(dist)
 
@@ -225,6 +225,7 @@ class MemoryStore:
         self._size = n + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def memory_insert(store: MemoryStore, region: CertifiedRegion
                   ) -> tuple[int, CertifiedRegion, bool]:
     """Insert a freshly certified region, shrinking it against the memory.
@@ -279,6 +280,7 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
     return cand.prediction, cand, adjusted
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _validate_invariant(store: MemoryStore) -> None:
     """Raise on the first pair (i < j) of overlapping differently-predicted regions.
 

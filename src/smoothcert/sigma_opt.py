@@ -233,8 +233,6 @@ def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0,
     if budget % n_samples != 0:
         raise ValueError(f"budget {budget} must be divisible by n_samples {n_samples}")
     m = budget // n_samples
-    if m < 1:
-        raise ValueError("empty grid")
     delta = sigma_grid_max / m
     grid = delta * np.arange(1, m + 1)
     grid[grid <= 0.0] = sigma_floor

@@ -127,11 +127,12 @@ def draw_noise(rng: np.random.Generator, n: int, dim: int,
 
 def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
                 rng: np.random.Generator, kind: str = NOISE_GAUSSIAN) -> np.ndarray:
-    """Per-class counts of hard argmax predictions at x + scale * noise.
+    """Per-class counts of ``c.labels`` at x + scale * noise.
 
-    Ties in the soft output break toward the lowest class index. The batch
-    size is fixed so the stream layout (and hence every count) is a pure
-    function of the generator state.
+    A label is the argmax of the soft output, ties going to the lowest class
+    index. Each batch of draws is scaled and shifted in place, which gives
+    the bits of x + scale * draws. The batch size is fixed so the stream
+    layout (and hence every count) is a pure function of the generator state.
     """
     x = as_point(x)
     if x.size != c.dim:
@@ -141,8 +142,9 @@ def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
     while remaining > 0:
         m = min(_VOTE_BATCH, remaining)
         draws = draw_noise(rng, m, c.dim, kind).draws
-        votes = np.argmax(c.probs(x[None, :] + scale * draws), axis=1)
-        counts += np.bincount(votes, minlength=c.num_classes)
+        draws *= scale
+        draws += x
+        counts += np.bincount(c.labels(draws), minlength=c.num_classes)
         remaining -= m
     return counts
 
@@ -167,13 +169,13 @@ def smooth_predict(c: ClassifierHandle, x, cfg: GaussianCertConfig,
     counts = vote_counts(c, x, cfg.sigma, cfg.n0, rng)
     top, runner = map(int, _top_two(counts))
     n_two = int(counts[top] + counts[runner])
-    if n_two == 0:
-        return ABSTAIN
     pval = binom_two_sided_pvalue(int(counts[top]), n_two, 0.5)
     return top if pval <= cfg.alpha_fail else ABSTAIN
 
 
-def _certify(c, x, scale, cfg, kind, norm, rng) -> CertificationOutcome:
+def _certify(c, x, scale, cfg, kind, norm, rng, input_index) -> CertificationOutcome:
+    if rng is None:
+        rng = rng_for_input(cfg.seed, input_index)
     counts0 = vote_counts(c, x, scale, cfg.n0, rng, kind)
     candidate = int(np.argmax(counts0))
     counts = vote_counts(c, x, scale, cfg.n_cert, rng, kind)
@@ -201,9 +203,7 @@ def certify_l2(c: ClassifierHandle, x, cfg: GaussianCertConfig,
     p_lower on the candidate class probability yields radius
     sigma * Phi^{-1}(p_lower), abstaining whenever p_lower <= 1/2.
     """
-    if rng is None:
-        rng = rng_for_input(cfg.seed, input_index)
-    return _certify(c, x, cfg.sigma, cfg, NOISE_GAUSSIAN, NORM_L2, rng)
+    return _certify(c, x, cfg.sigma, cfg, NOISE_GAUSSIAN, NORM_L2, rng, input_index)
 
 
 def certify_l1(c: ClassifierHandle, x, lam: float, cfg: GaussianCertConfig,
@@ -216,9 +216,7 @@ def certify_l1(c: ClassifierHandle, x, lam: float, cfg: GaussianCertConfig,
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if rng is None:
-        rng = rng_for_input(cfg.seed, input_index)
-    return _certify(c, x, float(lam), cfg, NOISE_UNIFORM, NORM_L1, rng)
+    return _certify(c, x, float(lam), cfg, NOISE_UNIFORM, NORM_L1, rng, input_index)
 
 
 def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):

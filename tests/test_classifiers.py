@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothcert.classifiers import (DerivativeUnsupportedError, TinyMLP,
+from smoothcert.classifiers import (ClassifierHandle, DerivativeUnsupportedError,
+                                    TinyMLP,
                                     affine_softmax_classifier,
                                     classifier_from_config,
                                     classifier_to_config, constant_classifier,
@@ -316,3 +318,89 @@ class TestJsonConfig:
         assert np.allclose(cfg["w1"], mlp.w1)
         # state must be JSON-serializable as-is
         json.dumps(cfg)
+
+
+# Every built-in, with the points where its label is decided on a tie or a
+# boundary: u = (w.x - b) / s of exactly 0, +-5e-324 and 1e-300 for the
+# probit (ndtr rounds the last three to 0.5), w.x == b for the hard
+# half-space, ||x|| == rho for the ball, all-equal outputs for the constant
+# and for two equal softmax rows.
+LABEL_CASES = {
+    "constant": (lambda: constant_classifier([0.5, 0.5], dim=2),
+                 [[0.0, 0.0], [1.0, -1.0]]),
+    "affine_softmax": (lambda: affine_softmax_classifier(
+        [[1.0, -0.5], [1.0, -0.5], [-1.1, 0.3]], [0.1, 0.1, 0.0]),
+        [[0.0, 0.0], [0.1, 0.2], [0.05, 0.0]]),
+    "hard_halfspace": (lambda: hard_halfspace_classifier([1.0, 2.0], 3.0),
+                       [[1.0, 1.0], [3.0, 0.0], [-1.0, 2.0]]),
+    "probit_halfspace": (lambda: probit_halfspace_classifier([1.0, 0.0], 0.0, 1.0),
+                         [[0.0, 0.0], [-0.0, 1.0], [5e-324, 0.0], [-5e-324, 0.0],
+                          [1e-300, 0.0], [-1e-300, 0.0], [1e-8, 0.0]]),
+    "nested_ball": (lambda: nested_ball_classifier(5.0, dim=2),
+                    [[3.0, 4.0], [-4.0, 3.0], [0.0, 5.0], [5.0, 0.0]]),
+    "mlp": (lambda: mlp_classifier(TinyMLP(2, 6, 3, rng=np.random.default_rng(2))),
+            [[0.0, 0.0]]),
+}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("kind", list(LABEL_CASES))
+    def test_labels_are_the_argmax_of_probs(self, kind):
+        build, boundary = LABEL_CASES[kind]
+        c = build()
+        rng = np.random.default_rng(5)
+        for pts in (rng.normal(scale=3.0, size=(2000, 2)), np.array(boundary)):
+            labels = c.labels(pts)
+            assert labels.shape == (len(pts),) and labels.dtype == np.intp
+            assert np.array_equal(labels, np.argmax(c.probs(pts), axis=1))
+
+    def test_boundary_labels(self):
+        # ties go to class 0; a point on the closed ball is inside
+        for kind, expected in (("constant", [0, 0]), ("affine_softmax", [0, 0, 0]),
+                               ("hard_halfspace", [0, 0, 0]),
+                               ("probit_halfspace", [0, 0, 0, 0, 0, 0, 1]),
+                               ("nested_ball", [1, 1, 1, 1])):
+            build, boundary = LABEL_CASES[kind]
+            assert build().labels(np.array(boundary)).tolist() == expected
+
+    def test_hard_probs_are_one_hot_labels(self):
+        for kind in ("hard_halfspace", "nested_ball"):
+            build, boundary = LABEL_CASES[kind]
+            c = build()
+            pts = np.concatenate([boundary, np.random.default_rng(6).normal(size=(50, 2))])
+            assert np.array_equal(c.probs(pts), np.eye(2)[c.labels(pts)])
+
+    def test_points_of_the_wrong_shape_rejected(self):
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        with pytest.raises(ValueError, match=r"expected points of shape \(m, 2\)"):
+            c.labels(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"expected points of shape \(m, 2\)"):
+            c.labels(np.zeros(2))
+
+    def test_labels_fn_output_of_the_wrong_shape_rejected(self):
+        c = replace(hard_halfspace_classifier([1.0, 0.0], 0.0),
+                    labels_fn=lambda points: np.zeros((len(points), 1), dtype=int))
+        with pytest.raises(ValueError, match="kind='hard_halfspace' labels_fn must "
+                                             r"return 3 class indices in \[0, 2\)"):
+            c.labels(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_labels_fn_value_out_of_range_rejected(self, bad):
+        c = replace(nested_ball_classifier(1.0, dim=2),
+                    labels_fn=lambda points: np.full(len(points), bad))
+        with pytest.raises(ValueError, match="kind='nested_ball' labels_fn must "):
+            c.labels(np.zeros((3, 2)))
+
+    def test_labels_fn_non_integer_output_rejected(self):
+        c = replace(nested_ball_classifier(1.0, dim=2),
+                    labels_fn=lambda points: np.ones(len(points)))
+        with pytest.raises(ValueError, match="kind='nested_ball' labels_fn must "):
+            c.labels(np.zeros((3, 2)))
+
+    def test_positional_construction_keeps_the_argmax_default(self):
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        plain = ClassifierHandle(c.kind, c.dim, c.num_classes, c.probs_fn, c.grad_fn,
+                                 c.params, None)
+        assert plain.labels_fn is None
+        pts = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert plain.labels(pts).tolist() == [0, 0, 1]

@@ -560,6 +560,31 @@ class TestAgainstReferenceScan:
         assert peak < 64 * 2**20
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_coordinates_near_the_float_range_screen_silently(self, tmp_path, norm):
+        # differences of these centers overflow to inf in the numpy screens
+        big = 1.7976931348623157e308
+        disjoint = [region((big, -big), 1.0, 0, norm=norm),
+                    region((-big, big), 1.0, 1, norm=norm),
+                    region((0.0, 0.0), 1e300, 2, norm=norm)]
+        path = tmp_path / "memory.jsonl"
+        for regions in (disjoint, disjoint + [region((big, -big), 0.5, 1, norm=norm)]):
+            write_regions(path, regions)
+            expected = ref_first_overlap(regions)
+            if expected is None:
+                assert load_memory(path).regions == regions
+            else:
+                assert expected == "regions 0 and 3 predict differently but overlap"
+                with pytest.raises(MemoryInvariantError, match=f"^{expected}$"):
+                    load_memory(path)
+        store, ref = MemoryStore(), RefStore()
+        for r in disjoint + [region((big, big), big, 0, norm=norm),
+                             region((-big, -big), 2.0, 1, norm=norm),
+                             region((-big, big), 0.5, 0, norm=norm)]:
+            insert_both(store, ref, r)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -44,3 +44,16 @@ def test_time_memory(tmp_path):
     assert [line.split()[:3] for line in lines[1:]] == [
         ["lattice", "2", "20"], ["lattice", "16", "20"],
         ["random", "2", "20"], ["random", "16", "20"]]
+
+
+def test_time_votes(tmp_path):
+    out = run_script("time_votes.py", "--votes", "100", "70000", "--repeats", "1",
+                     cwd=tmp_path)
+    lines = out.splitlines()
+    assert lines[0].split() == ["classifier", "noise", "votes", "Msamples/s"]
+    rows = [line.split()[:3] for line in lines[1:]]
+    kinds = ["constant", "affine_softmax", "hard_halfspace", "probit_halfspace",
+             "nested_ball", "mlp"]
+    assert rows == [[k, noise, n] for k in kinds for noise in ("gaussian", "uniform")
+                    for n in ("100", "70000")]
+    assert all(float(line.split()[3]) > 0 for line in lines[1:])

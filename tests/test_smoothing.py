@@ -1,6 +1,7 @@
 """Monte Carlo prediction, sound certification, and the plug-in radius."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,69 @@ class TestSeeding:
         c = rng_for_input(7, 3, stream=1).standard_normal(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def frozen_vote_counts(c, x, scale, n, rng, kind="gaussian"):
+    """vote_counts before hard labels: the argmax of probs at x + scale * draws,
+    built out of place, in batches of 65536 draws."""
+    x = np.asarray(x, dtype=float)
+    counts = np.zeros(c.num_classes, dtype=np.int64)
+    remaining = int(n)
+    while remaining > 0:
+        m = min(1 << 16, remaining)
+        draws = draw_noise(rng, m, c.dim, kind).draws
+        votes = np.argmax(c.probs(x[None, :] + scale * draws), axis=1)
+        counts += np.bincount(votes, minlength=c.num_classes)
+        remaining -= m
+    return counts
+
+
+# Every built-in at a point and scale where the votes split.
+VOTE_CASES = {
+    "constant": (lambda: constant_classifier([0.5, 0.5], dim=2), [0.3, -0.1], 0.5),
+    "affine_softmax": (lambda: affine_softmax_classifier(
+        [[1.0, 0.3], [-0.5, 0.8], [0.2, -1.0]], [0.0, 0.1, -0.2]), [0.1, 0.05], 0.7),
+    "hard_halfspace": (lambda: hard_halfspace_classifier([0.6, 0.8], 0.1),
+                       [0.1, 0.05], 0.3),
+    "probit_halfspace": (lambda: probit_halfspace_classifier([0.6, 0.8], 0.1, 0.5),
+                         [0.2, -0.05], 1.0 / 3.0),
+    "nested_ball": (lambda: nested_ball_classifier(1.0, dim=2), [0.8, 0.3], 0.5),
+    "mlp": (lambda: mlp_classifier(TinyMLP(2, 8, 3, rng=np.random.default_rng(4))),
+            [0.2, -0.3], 1.5),
+}
+
+
+class TestVoteCounts:
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("name", list(VOTE_CASES))
+    def test_counts_equal_the_frozen_argmax_of_probs(self, name, kind):
+        build, x, scale = VOTE_CASES[name]
+        c = build()
+        for i, n in enumerate((1, 65535, 65536, 65537, 100100)):
+            a, b = rng_for_input(9, i), rng_for_input(9, i)
+            got = vote_counts(c, x, scale, n, a, kind)
+            assert got.dtype == np.int64 and got.sum() == n
+            assert np.array_equal(got, frozen_vote_counts(c, x, scale, n, b, kind))
+            assert a.random() == b.random()
+        if name != "constant":
+            assert np.count_nonzero(got) >= 2
+
+    @pytest.mark.parametrize("name", ["hard_halfspace", "probit_halfspace",
+                                      "nested_ball"])
+    def test_builtin_labels_never_call_probs(self, name):
+        build, x, scale = VOTE_CASES[name]
+        c = build()
+
+        def no_probs(points):
+            raise AssertionError("probs_fn called on the vote path")
+
+        fast = replace(c, probs_fn=no_probs)
+        cfg = GaussianCertConfig(sigma=scale, n0=100, n_cert=70_000, seed=3)
+        assert np.array_equal(vote_counts(fast, x, scale, 70_000, rng_for_input(1, 2)),
+                              vote_counts(c, x, scale, 70_000, rng_for_input(1, 2)))
+        assert certify_l2(fast, x, cfg, input_index=5) == certify_l2(c, x, cfg,
+                                                                    input_index=5)
+        assert certify_l1(fast, x, scale, cfg) == certify_l1(c, x, scale, cfg)
 
 
 class TestSmoothPredict:
