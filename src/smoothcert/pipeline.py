@@ -3,9 +3,9 @@
 A campaign certifies every dataset row either at one fixed scale or with the
 per-input optimized scale ("ds" modes), feeding the resulting regions through
 the memory so differently-predicted certificates can never overlap. The scale
-ascent runs in one batched call per block of rows; one loop then certifies
-each row and inserts it into the memory, in dataset order. Counter-based
-per-row seeds make the results independent of the block size.
+ascent runs in one batched call per block of rows. Rows are certified on one
+thread per CPU when they vote a full batch, then inserted into the memory in
+dataset order; per-row seeds make results independent of blocks and threads.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +62,8 @@ REPORT_HEADER = ["idx", "label", "prediction", "correct", "radius",
 # Streams of the per-input counter-based generator.
 _STREAM_CERT = 0
 _STREAM_OPT = 1
+# Points per ascent call; fixed, as the block layout can move outputs by an ulp.
+_ASCENT_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,11 @@ def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig) -> np.ndarra
     """Optimized scale of every row, one ``optimize_sigma`` call per block.
 
     An iterate scores at most three scales of n draws per row, so blocks of
-    _VOTE_BATCH // (3 n) rows keep each classifier call within the vote batch.
+    _ASCENT_POINTS // (3 n) rows keep each classifier call within that bound.
     """
     kind = "uniform" if cfg.mode == MODE_DS_L1 else "gaussian"
     n = cfg.opt.n_samples
-    block = max(1, _VOTE_BATCH // (3 * n))
+    block = max(1, _ASCENT_POINTS // (3 * n))
     scales = np.empty(len(dataset))
     for start in range(0, len(dataset), block):
         rows = range(start, min(start + block, len(dataset)))
@@ -204,6 +208,13 @@ def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig) -> np.ndarra
         scales[start:rows.stop], _ = optimize_sigma(
             c, dataset.points[start:rows.stop], cfg.opt, noise=noise)
     return scales
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_campaign(cfg: CampaignConfig,
@@ -217,8 +228,9 @@ def run_campaign(cfg: CampaignConfig,
     modes first optimize the scale of every row in batched ascent calls,
     then certify each row with its scale and insert the region into the
     memory in dataset order, recording any adjustment the memory forced on
-    the prediction or radius. A dataset or memory that does not fit the
-    classifier or mode is rejected before any work.
+    the prediction or radius. Rows that vote a full batch are certified on
+    one thread per CPU, all before the first insert. A dataset or memory
+    that does not fit the classifier or mode is rejected before any work.
     """
     from .classifiers import load_classifier
     from .memory import load_memory
@@ -248,22 +260,27 @@ def run_campaign(cfg: CampaignConfig,
                 f"memory mismatch: mode {cfg.mode} needs {norm} regions of dim {dataset.dim}, "
                 f"the memory holds {memory.norm} regions of dim {memory.dim}")
 
-    if cfg.mode == MODE_FIXED:
-        scales = [cfg.cert.sigma] * len(dataset)
-    else:
-        scales = _ascent_scales(classifier, dataset, cfg).tolist()
-    records: list[CertRecord] = []
-    for i, (x, scale) in enumerate(zip(dataset.points, scales)):
-        cert_rng = rng_for_input(cfg.cert.seed, i, _STREAM_CERT)
+    scales = ([cfg.cert.sigma] * len(dataset) if cfg.mode == MODE_FIXED
+              else _ascent_scales(classifier, dataset, cfg).tolist())
+
+    def certify_row(i):
+        rng = rng_for_input(cfg.cert.seed, i, _STREAM_CERT)
         if cfg.mode == MODE_DS_L1:
-            out = certify_l1(classifier, x, scale, cfg.cert, rng=cert_rng)
-        else:
-            out = certify_l2(classifier, x, replace(cfg.cert, sigma=scale), rng=cert_rng)
+            return certify_l1(classifier, dataset.points[i], scales[i], cfg.cert, rng=rng)
+        return certify_l2(classifier, dataset.points[i],
+                          replace(cfg.cert, sigma=scales[i]), rng=rng)
+
+    rows, workers = range(len(dataset)), _cpu_count()
+    if workers == 1 or cfg.cert.n_cert < _VOTE_BATCH:  # threads would only add overhead
+        outcomes = list(map(certify_row, rows))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            outcomes = list(pool.map(certify_row, rows))
+    records: list[CertRecord] = []
+    for i, (x, scale, out) in enumerate(zip(dataset.points, scales, outcomes)):
         prediction, radius, adjusted = out.prediction, out.radius, False
         if cfg.mode != MODE_FIXED and not out.abstained:
-            region = CertifiedRegion(center=tuple(x), radius=out.radius,
-                                     prediction=out.prediction, sigma_used=scale,
-                                     norm=out.norm)
+            region = CertifiedRegion(tuple(x), out.radius, out.prediction, scale, out.norm)
             prediction, final_region, adjusted = memory_insert(memory, region)
             radius = final_region.radius
         records.append(CertRecord(idx=i, label=int(dataset.labels[i]),
@@ -304,13 +321,9 @@ def _config_echo(cfg: CampaignConfig) -> dict:
 def certified_accuracy_curve(records: list[CertRecord],
                              radii: tuple[float, ...]) -> tuple[float, ...]:
     """Fraction of inputs correct AND certified at radius >= r, per grid radius."""
-    if not records:
-        return tuple(0.0 for _ in radii)
-    vals = []
-    for r in radii:
-        ok = sum(1 for rec in records if rec.correct and rec.radius >= r)
-        vals.append(ok / len(records))
-    return tuple(vals)
+    n = max(len(records), 1)
+    return tuple(sum(1 for rec in records if rec.correct and rec.radius >= r) / n
+                 for r in radii)
 
 
 def average_certified_radius(records: list[CertRecord]) -> float:

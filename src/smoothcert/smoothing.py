@@ -6,8 +6,8 @@ here too; it shares the sampling conventions but is *not* a sound bound, and
 ``plugin_radii`` scores it at many scales with one classifier call.
 
 Sampling is counter-based: every (seed, input_index, stream) triple maps to
-an independent deterministic stream, so certification of distinct inputs can
-run concurrently in any order without changing results.
+an independent deterministic stream, so certification of distinct inputs
+runs concurrently, in any order, without changing results.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
 # Returned as the prediction when the confidence test fails.
 ABSTAIN = -1
 
-_VOTE_BATCH = 1 << 16
+_VOTE_BATCH = 1 << 14
 
 NORM_L2 = "l2"
 NORM_L1 = "l1"
@@ -131,8 +131,8 @@ def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
 
     A label is the argmax of the soft output, ties going to the lowest class
     index. Each batch of draws is scaled and shifted in place, which gives
-    the bits of x + scale * draws. The batch size is fixed so the stream
-    layout (and hence every count) is a pure function of the generator state.
+    the bits of x + scale * draws. A generator's draws do not depend on how
+    they are chunked, so the batch size bounds memory and changes no count.
     """
     x = as_point(x)
     if x.size != c.dim:

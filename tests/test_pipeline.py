@@ -1,17 +1,20 @@
 """Campaign orchestration, metrics, training loop, and report round trips."""
 
+import copy
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from smoothcert import pipeline
+from smoothcert import pipeline, smoothing
 from smoothcert.classifiers import (ClassifierHandle, TinyMLP,
                                     constant_classifier,
                                     mlp_classifier,
                                     probit_halfspace_classifier)
-from smoothcert.memory import audit
+from smoothcert.memory import CertifiedRegion, MemoryStore, audit, memory_insert
 from smoothcert.pipeline import (MODE_DS, MODE_DS_L1, MODE_FIXED,
                                  CampaignConfig, CertRecord,
                                  GaussianAugmentationTrainer, LabeledDataset,
@@ -191,7 +194,7 @@ class TestRunCampaign:
         records, store, _ = run_campaign(cfg, dataset=ds, classifier=c)
         assert ascents == [5, 5, 2]
         assert max(calls) == 5 * 3 * 4096 <= 1 << 16
-        monkeypatch.setattr(pipeline, "_VOTE_BATCH", 2 * 3 * 4096)
+        monkeypatch.setattr(pipeline, "_ASCENT_POINTS", 2 * 3 * 4096)
         ascents.clear()
         small = run_campaign(cfg, dataset=ds, classifier=c)
         assert ascents == [2] * 6
@@ -259,6 +262,117 @@ class TestRunCampaign:
         for r in records:
             assert r.radius >= 0.0
         assert all(reg.norm == "l1" for reg in store.regions)
+
+
+def prior_memory(ds, norm):
+    """Prediction-0 regions on the positive side of the probit boundary: one
+    holds row 0's center (override), one lies beside row 1's (shrink)."""
+    store = MemoryStore()
+    x0, x1 = ds.points[ds.labels == 1][:2]
+    for center, radius in ((x0 + [0.02, 0.0], 0.1), (x1 + [0.0, 0.3], 0.2)):
+        memory_insert(store, CertifiedRegion(tuple(center), radius, 0, 0.25, norm))
+    return store
+
+
+class TestThreadedCampaign:
+    MODES = (MODE_FIXED, MODE_DS, MODE_DS_L1)
+    HEAVY = smoothing._VOTE_BATCH  # the fewest votes certified on the pool
+
+    def _cfg(self, mode, tmp_path=None, n_cert=HEAVY):
+        cert = GaussianCertConfig(sigma=0.25, n0=50, n_cert=n_cert,
+                                  alpha_fail=0.01, seed=13)
+        opt = SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=5,
+                             n_samples=16)
+        out = {} if tmp_path is None else dict(
+            memory_out=str(tmp_path / "m.jsonl"), report_csv=str(tmp_path / "r.csv"),
+            report_json=str(tmp_path / "r.json"))
+        return CampaignConfig(mode=mode, cert=cert, opt=opt,
+                              radii_grid=(0.0, 0.25, 0.5), **out)
+
+    @pytest.mark.parametrize("rows", [5, 13])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path,
+                                                    mode, rows):
+        ds, c = probit_setup(n=rows, seed=11)
+        norm = "l1" if mode == MODE_DS_L1 else "l2"
+        outputs = []
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+            cfg = self._cfg(mode, tmp_path)
+            records, store, _ = run_campaign(cfg, dataset=ds, classifier=c,
+                                             memory=prior_memory(ds, norm))
+            files = [(tmp_path / f).read_bytes() for f in ("m.jsonl", "r.csv", "r.json")]
+            outputs.append((records, store.regions, files))
+        assert all(out == outputs[0] for out in outputs[1:])
+        if mode != MODE_FIXED:
+            # the prior memory overrode one positive row and shrank another
+            adjusted = [r for r in records if r.adjusted]
+            assert {r.prediction for r in adjusted} == {0, 1}
+
+    def test_rows_run_on_several_threads(self, monkeypatch):
+        ds, c = probit_setup(n=13, seed=9)
+        seen = set()
+        both = threading.Barrier(2, timeout=30)
+
+        def labels_fn(points):
+            me = threading.get_ident()
+            if me not in seen:
+                seen.add(me)
+                both.wait()  # a serial loop never reaches the second party
+            return c.labels_fn(points)
+
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        threaded = ClassifierHandle(c.kind, c.dim, c.num_classes, c.probs_fn,
+                                    labels_fn=labels_fn)
+        records = run_campaign(self._cfg(MODE_FIXED), dataset=ds, classifier=threaded)[0]
+        assert len(seen) >= 2
+        assert records == run_campaign(self._cfg(MODE_FIXED), dataset=ds,
+                                       classifier=c)[0]
+
+    @pytest.mark.parametrize("cpus,n_cert", [(2, HEAVY - 1), (1, HEAVY)])
+    def test_light_rows_or_one_cpu_run_on_the_calling_thread(self, monkeypatch,
+                                                             cpus, n_cert):
+        ds, c = probit_setup(n=13, seed=9)
+        seen = set()
+
+        def labels_fn(points):
+            seen.add(threading.get_ident())
+            return c.labels_fn(points)
+
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        recording = ClassifierHandle(c.kind, c.dim, c.num_classes, c.probs_fn,
+                                     labels_fn=labels_fn)
+        run_campaign(self._cfg(MODE_FIXED, n_cert=n_cert), dataset=ds,
+                     classifier=recording)
+        assert seen == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus,n_cert", [(1, HEAVY), (2, HEAVY), (8, HEAVY),
+                                             (2, 2000)])
+    def test_failing_row_leaves_the_memory_unchanged(self, monkeypatch, cpus, n_cert):
+        ds, c = probit_setup(n=10, seed=10)
+        points = ds.points.copy()
+        points[:, 1] = 10.0 * np.arange(10)  # the row index, read back from votes
+        ds = LabeledDataset(points, ds.labels)
+
+        def labels_fn(points):
+            row = int(round(points[:, 1].mean() / 10.0))
+            if row == 3:
+                time.sleep(0.05)  # row 7 fails first when rows run at once
+            if row in (3, 7):
+                raise RuntimeError(f"row {row} failed")
+            return c.labels_fn(points)
+
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        failing = ClassifierHandle(c.kind, c.dim, c.num_classes, c.probs_fn,
+                                   labels_fn=labels_fn)
+        memory = prior_memory(ds, "l2")
+        before = copy.deepcopy(memory)
+        with pytest.raises(RuntimeError, match="row 3 failed"):
+            run_campaign(self._cfg(MODE_DS, n_cert=n_cert), dataset=ds,
+                         classifier=failing, memory=memory)
+        assert memory == before
+        assert (memory.insertions, memory.comparisons) == (before.insertions,
+                                                           before.comparisons)
 
 
 class TestTrainBatch:

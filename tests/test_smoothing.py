@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smoothcert import smoothing
 from smoothcert.classifiers import (TinyMLP, affine_softmax_classifier,
                                     constant_classifier,
                                     hard_halfspace_classifier, mlp_classifier,
@@ -115,6 +116,20 @@ class TestVoteCounts:
             assert a.random() == b.random()
         if name != "constant":
             assert np.count_nonzero(got) >= 2
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("name", list(VOTE_CASES))
+    def test_counts_do_not_depend_on_the_batch_size(self, monkeypatch, name, kind):
+        build, x, scale = VOTE_CASES[name]
+        c = build()
+        for i, n in enumerate((1, 16383, 16384, 16385, 100100)):
+            runs = []
+            for batch in (1000, 1 << 14, 1 << 16):
+                monkeypatch.setattr(smoothing, "_VOTE_BATCH", batch)
+                rng = rng_for_input(10, i)
+                runs.append((vote_counts(c, x, scale, n, rng, kind).tolist(), rng.random()))
+            assert sum(runs[0][0]) == n
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize("name", ["hard_halfspace", "probit_halfspace",
                                       "nested_ball"])
