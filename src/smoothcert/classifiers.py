@@ -85,13 +85,11 @@ class ClassifierHandle:
 
     ``probs_fn`` maps an (m, dim) array of points to (m, num_classes) simplex
     rows. ``grad_fn``, when present, maps the same points to the full input
-    Jacobian of shape (m, num_classes, dim). ``backend`` holds the mutable
-    state of trainable classifiers (the perceptron); all other handles are
-    read-only. ``labels_fn``, when present, gives one class index per point
-    for Monte Carlo votes and must equal ``argmax(probs_fn(points), axis=1)``,
-    ties going to the lowest index. ``run_campaign`` calls both functions
-    from several threads at once: a handle must lock any mutable state, and
-    a trainable backend must not train during a campaign.
+    Jacobian of shape (m, num_classes, dim). ``labels_fn``, when present,
+    gives one class index per point for Monte Carlo votes and must equal
+    ``argmax(probs_fn(points), axis=1)``, ties going to the lowest index.
+    ``run_campaign`` calls them from several threads at once: mutable state
+    needs a lock, and a trainable ``backend`` must not train during a campaign.
     """
     kind: str
     dim: int

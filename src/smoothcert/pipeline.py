@@ -3,9 +3,9 @@
 A campaign certifies every dataset row either at one fixed scale or with the
 per-input optimized scale ("ds" modes), feeding the resulting regions through
 the memory so differently-predicted certificates can never overlap. The scale
-ascent runs in one batched call per block of rows. Rows are certified on one
-thread per CPU when they vote a full batch, then inserted into the memory in
-dataset order; per-row seeds make results independent of blocks and threads.
+ascent runs in one batched call per block of rows. Rows are certified on up
+to one thread per CPU, then inserted into the memory in dataset order; per-row
+seeds make the results independent of the blocks and the threads.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ _STREAM_CERT = 0
 _STREAM_OPT = 1
 # Points per ascent call; fixed, as the block layout can move outputs by an ulp.
 _ASCENT_POINTS = 1 << 16
+_POOL_MIN_VOTES = 1 << 12  # lighter rows are Python-bound: threads measured slower
 
 
 @dataclass(frozen=True)
@@ -224,13 +225,12 @@ def run_campaign(cfg: CampaignConfig,
                  ) -> tuple[list[CertRecord], MemoryStore, MetricsSummary]:
     """Certify a dataset and aggregate the campaign metrics.
 
-    Fixed mode certifies at one scale without touching the memory. The ds
-    modes first optimize the scale of every row in batched ascent calls,
-    then certify each row with its scale and insert the region into the
-    memory in dataset order, recording any adjustment the memory forced on
-    the prediction or radius. Rows that vote a full batch are certified on
-    one thread per CPU, all before the first insert. A dataset or memory
-    that does not fit the classifier or mode is rejected before any work.
+    Fixed mode certifies at one scale without touching the memory; the ds
+    modes optimize every row's scale in batched ascent calls first. All rows
+    are certified, on up to one thread per CPU and 2^16 vote points in flight,
+    before the ds regions go into the memory in dataset order, recording any
+    adjustment the memory forced on the prediction or radius. A dataset or
+    memory that does not fit the classifier or mode is rejected before any work.
     """
     from .classifiers import load_classifier
     from .memory import load_memory
@@ -270,17 +270,16 @@ def run_campaign(cfg: CampaignConfig,
         return certify_l2(classifier, dataset.points[i],
                           replace(cfg.cert, sigma=scales[i]), rng=rng)
 
-    rows, workers = range(len(dataset)), _cpu_count()
-    if workers == 1 or cfg.cert.n_cert < _VOTE_BATCH:  # threads would only add overhead
-        outcomes = list(map(certify_row, rows))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            outcomes = list(pool.map(certify_row, rows))
+    with ThreadPoolExecutor(min(_cpu_count(), _ASCENT_POINTS // _VOTE_BATCH)) as pool:
+        mapper = map if cfg.cert.n_cert < _POOL_MIN_VOTES else pool.map
+        outcomes = list(mapper(certify_row, range(len(dataset))))
     records: list[CertRecord] = []
     for i, (x, scale, out) in enumerate(zip(dataset.points, scales, outcomes)):
         prediction, radius, adjusted = out.prediction, out.radius, False
         if cfg.mode != MODE_FIXED and not out.abstained:
-            region = CertifiedRegion(tuple(x), out.radius, out.prediction, scale, out.norm)
+            region = CertifiedRegion(center=tuple(x), radius=out.radius,
+                                     prediction=out.prediction, sigma_used=scale,
+                                     norm=out.norm)
             prediction, final_region, adjusted = memory_insert(memory, region)
             radius = final_region.radius
         records.append(CertRecord(idx=i, label=int(dataset.labels[i]),
@@ -321,9 +320,13 @@ def _config_echo(cfg: CampaignConfig) -> dict:
 def certified_accuracy_curve(records: list[CertRecord],
                              radii: tuple[float, ...]) -> tuple[float, ...]:
     """Fraction of inputs correct AND certified at radius >= r, per grid radius."""
-    n = max(len(records), 1)
-    return tuple(sum(1 for rec in records if rec.correct and rec.radius >= r) / n
-                 for r in radii)
+    if not records:
+        return tuple(0.0 for _ in radii)
+    vals = []
+    for r in radii:
+        ok = sum(1 for rec in records if rec.correct and rec.radius >= r)
+        vals.append(ok / len(records))
+    return tuple(vals)
 
 
 def average_certified_radius(records: list[CertRecord]) -> float:

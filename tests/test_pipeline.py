@@ -276,9 +276,9 @@ def prior_memory(ds, norm):
 
 class TestThreadedCampaign:
     MODES = (MODE_FIXED, MODE_DS, MODE_DS_L1)
-    HEAVY = smoothing._VOTE_BATCH  # the fewest votes certified on the pool
+    LIGHT = pipeline._POOL_MIN_VOTES - 1  # the most votes certified without threads
 
-    def _cfg(self, mode, tmp_path=None, n_cert=HEAVY):
+    def _cfg(self, mode, tmp_path=None, n_cert=20_000):
         cert = GaussianCertConfig(sigma=0.25, n0=50, n_cert=n_cert,
                                   alpha_fail=0.01, seed=13)
         opt = SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=5,
@@ -329,9 +329,7 @@ class TestThreadedCampaign:
         assert records == run_campaign(self._cfg(MODE_FIXED), dataset=ds,
                                        classifier=c)[0]
 
-    @pytest.mark.parametrize("cpus,n_cert", [(2, HEAVY - 1), (1, HEAVY)])
-    def test_light_rows_or_one_cpu_run_on_the_calling_thread(self, monkeypatch,
-                                                             cpus, n_cert):
+    def test_light_rows_run_on_the_calling_thread(self, monkeypatch):
         ds, c = probit_setup(n=13, seed=9)
         seen = set()
 
@@ -339,15 +337,31 @@ class TestThreadedCampaign:
             seen.add(threading.get_ident())
             return c.labels_fn(points)
 
-        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
         recording = ClassifierHandle(c.kind, c.dim, c.num_classes, c.probs_fn,
                                      labels_fn=labels_fn)
-        run_campaign(self._cfg(MODE_FIXED, n_cert=n_cert), dataset=ds,
+        run_campaign(self._cfg(MODE_FIXED, n_cert=self.LIGHT), dataset=ds,
                      classifier=recording)
         assert seen == {threading.get_ident()}
 
-    @pytest.mark.parametrize("cpus,n_cert", [(1, HEAVY), (2, HEAVY), (8, HEAVY),
-                                             (2, 2000)])
+    def test_votes_in_flight_stay_within_one_ascent_call(self, monkeypatch):
+        ds, c = probit_setup(n=5, seed=9)
+        sizes = []
+
+        class RecordingPool(pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+        for cpus in (1, 3, 64):
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+            run_campaign(self._cfg(MODE_FIXED), dataset=ds, classifier=c)
+        cap = pipeline._ASCENT_POINTS // smoothing._VOTE_BATCH
+        assert sizes == [1, 3, cap]
+
+    @pytest.mark.parametrize("cpus,n_cert", [(1, 20_000), (2, 20_000), (8, 20_000),
+                                             (2, LIGHT)])
     def test_failing_row_leaves_the_memory_unchanged(self, monkeypatch, cpus, n_cert):
         ds, c = probit_setup(n=10, seed=10)
         points = ds.points.copy()
