@@ -24,8 +24,6 @@ __all__ = [
     "DerivativeUnsupportedError",
     "as_point",
     "validate_simplex",
-    "predict_probs",
-    "directional_derivative",
     "constant_classifier",
     "affine_softmax_classifier",
     "hard_halfspace_classifier",
@@ -131,39 +129,7 @@ class ClassifierHandle:
         if self.grad_fn is None:
             raise DerivativeUnsupportedError(
                 f"classifier kind={self.kind!r} does not provide derivatives")
-        return self.grad_fn(np.asarray(points, dtype=float))
-
-
-def predict_probs(c: ClassifierHandle, x) -> np.ndarray:
-    """Evaluate the classifier at a single point, returning a simplex vector."""
-    return validate_simplex(c.probs(as_point(x)[None, :])[0])
-
-
-def directional_derivative(c: ClassifierHandle, x, class_idx: int, v,
-                           allow_fd: bool = True) -> float:
-    """v . grad f^class_idx(x), analytic when available.
-
-    Value-only classifiers fall back to central finite differences with a
-    scale-aware step h = 1e-4 * (1 + ||x||_inf), unless ``allow_fd`` is False.
-    """
-    x = as_point(x)
-    v = np.asarray(v, dtype=float)
-    if x.size != c.dim or v.size != c.dim:
-        raise ValueError("point/direction dimension mismatch")
-    if not 0 <= class_idx < c.num_classes:
-        raise ValueError(f"class index {class_idx} out of range")
-    if not np.any(v):
-        return 0.0
-    if c.grad_fn is not None:
-        return float(c.input_grads(x[None, :])[0, class_idx] @ v)
-    if not allow_fd:
-        raise DerivativeUnsupportedError(
-            f"classifier kind={c.kind!r} is value-only and the finite-difference "
-            "fallback is disabled")
-    h = 1e-4 * (1.0 + float(np.max(np.abs(x))))
-    hi = c.probs((x + h * v)[None, :])[0, class_idx]
-    lo = c.probs((x - h * v)[None, :])[0, class_idx]
-    return float((hi - lo) / (2.0 * h))
+        return self.grad_fn(self._points(points))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +353,10 @@ def probit_halfspace_smoothed_prob(w_unit, b: float, s: float, x, sigma: float) 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _quad(f, lo: float, hi: float, panel: float = 0.5) -> float:
+def _quad(f, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    n_panels = max(1, int(math.ceil((hi - lo) / panel)))
+    n_panels = max(1, int(math.ceil((hi - lo) / 0.5)))  # panels at most 0.5 wide
     edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
     for a, bb in zip(edges[:-1], edges[1:]):

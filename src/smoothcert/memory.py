@@ -6,7 +6,9 @@ differently-predicted ball has its prediction overridden and its region
 shrunk to the largest ball inside both; a mere overlap shrinks the region to
 the largest ball clear of the obstacle. Same-prediction overlaps are left
 untouched. Boundary contact does not count as overlap, which maximizes the
-retained radius and keeps the shrink formulas exact.
+retained radius and keeps the shrink formulas exact. ``_shrink`` is the one
+place this rule is written; ``memory_insert`` and the ``largest_*_subset``
+helpers all apply it.
 
 The formulas hold for L2 and L1 balls in any dimension: by the triangle
 inequality a ball of radius R - ||c - c'|| at c' lies inside the ball of
@@ -36,7 +38,6 @@ __all__ = [
     "CertifiedRegion",
     "MemoryStore",
     "MemoryInvariantError",
-    "intersect",
     "largest_in_subset",
     "largest_out_subset",
     "memory_insert",
@@ -125,10 +126,19 @@ def _check_compatible(a: tuple[str, int], b: tuple[str, int]) -> None:
         raise ValueError(f"dimension mismatch: {a[1]} vs {b[1]}")
 
 
-def intersect(a: CertifiedRegion, b: CertifiedRegion) -> bool:
-    """Whether two closed balls overlap; tangency does not count."""
-    _check_compatible((a.norm, a.dim), (b.norm, b.dim))
-    return _distance(a.center, b.center, a.norm) < a.radius + b.radius
+def _shrink(d: float, r_entry: float, radius: float) -> tuple[float, bool] | None:
+    """The overlap rule for a region of ``radius`` whose center lies at
+    distance ``d`` from a differently-predicted entry of radius ``r_entry``.
+
+    Returns (new radius, whether the region takes the entry's prediction), or
+    None when the two balls do not overlap. A center inside the entry keeps
+    min(radius, r_entry - d); any other overlap keeps min(radius, d - r_entry).
+    """
+    if d <= r_entry:
+        return max(0.0, min(radius, r_entry - d)), True
+    if d < r_entry + radius:
+        return max(0.0, min(radius, d - r_entry)), False
+    return None
 
 
 def largest_in_subset(outer: CertifiedRegion, cand: CertifiedRegion) -> float:
@@ -143,7 +153,7 @@ def largest_in_subset(outer: CertifiedRegion, cand: CertifiedRegion) -> float:
         raise ValueError(
             f"candidate center lies outside the outer ball (distance {d} > "
             f"radius {outer.radius})")
-    return max(0.0, min(cand.radius, outer.radius - d))
+    return _shrink(d, outer.radius, cand.radius)[0]
 
 
 def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> float:
@@ -158,7 +168,8 @@ def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> floa
         raise ValueError(
             f"candidate center lies inside the obstacle (distance {d} <= "
             f"radius {obstacle.radius})")
-    return max(0.0, min(cand.radius, d - obstacle.radius))
+    shrunk = _shrink(d, obstacle.radius, cand.radius)
+    return cand.radius if shrunk is None else shrunk[0]
 
 
 class MemoryStore:
@@ -230,11 +241,11 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
                   ) -> tuple[int, CertifiedRegion, bool]:
     """Insert a freshly certified region, shrinking it against the memory.
 
-    Scans stored regions in insertion order. For each differently-predicted
-    entry: if the new center lies inside the entry, the prediction is
-    overridden to the entry's and the region shrunk to the largest ball
-    inside both; otherwise an overlap shrinks the region to the largest ball
-    clear of the entry. Returns (final prediction, final region, adjusted).
+    Scans stored regions in insertion order, applying ``_shrink`` to each
+    differently-predicted entry: a new center inside the entry takes the
+    entry's prediction and shrinks to the largest ball inside both; any other
+    overlap shrinks the region to the largest ball clear of the entry.
+    Returns (final prediction, final region, adjusted).
 
     Only entries within r_entry + r of the new center can act (the region
     only shrinks), so the scan visits just the entries the screen keeps. The
@@ -256,20 +267,17 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
                                         store._preds[hits].tolist()):
         if p_entry == prediction:
             continue
-        d = _distance(center, region.center, region.norm)
-        if d <= r_entry:  # center inside: take the entry's prediction
-            new_r, new_p = min(radius, r_entry - d), p_entry
-        elif d < r_entry + radius:
-            new_r, new_p = min(radius, d - r_entry), prediction
-        else:
+        shrunk = _shrink(_distance(center, region.center, region.norm), r_entry, radius)
+        if shrunk is None:
             continue
-        new_r = max(0.0, new_r)
+        new_r, inside = shrunk
         if overridden and new_r < radius - _INVARIANT_TOL:
             raise MemoryInvariantError(
                 "a second differently-predicted entry forced shrinking "
                 "after a prediction override; the store invariant is broken")
-        overridden = overridden or new_p != prediction
-        radius, prediction = new_r, new_p
+        radius = new_r
+        if inside:  # center inside: take the entry's prediction
+            prediction, overridden = p_entry, True
         adjusted = True
         store.overlap_events += 1
     cand = replace(region, radius=radius, prediction=prediction) if adjusted else region

@@ -397,10 +397,8 @@ def train_batch(c: ClassifierHandle, points: np.ndarray, labels: np.ndarray,
 
 
 def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
-                      hidden: int = 16, warmup_epochs: int = 30,
-                      ds_epochs: int = 30, batch_size: int = 20, lr: float = 0.5,
-                      sigma0: float = 0.25, n_cert: int = 2000,
-                      cert_iters: int = 100, cert_step: float = 0.02) -> dict:
+                      warmup_epochs: int = 30, ds_epochs: int = 30,
+                      n_cert: int = 2000) -> dict:
     """Train a perceptron on the annuli data with per-input scales, then
     certify the test split at the fixed starting scale and with the
     data-dependent scale, returning both metric summaries.
@@ -414,30 +412,30 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
 
     xs, ys = make_annuli(n_train, seed=seed)
     xt, yt = make_annuli(n_test, seed=seed + 10_000)
-    mlp = TinyMLP(2, hidden, 2, rng=np.random.default_rng(
+    mlp = TinyMLP(2, 16, 2, rng=np.random.default_rng(
         np.random.SeedSequence([int(seed), 7])))
     c = mlp_classifier(mlp)
-    trainer = GaussianAugmentationTrainer(lr=lr, n_aug=4)
+    trainer = GaussianAugmentationTrainer(lr=0.5, n_aug=4)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 8]))
 
-    base_opt = SigmaOptConfig(sigma0=sigma0, step_alpha=0.02, iters_k=0,
+    base_opt = SigmaOptConfig(sigma0=0.25, step_alpha=0.02, iters_k=0,
                               n_samples=16, sigma_min=0.05, sigma_max=2.0,
                               grad_mode="scalar_fd", fd_step=0.05)
     ds_opt = replace(base_opt, iters_k=1)
-    sigmas = np.full(n_train, float(sigma0))
+    sigmas = np.full(n_train, base_opt.sigma0)
     for epoch in range(warmup_epochs + ds_epochs):
         opt_cfg = base_opt if epoch < warmup_epochs else ds_opt
         order = rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n_train, 20):
+            idx = order[start:start + 20]
             sigmas[idx] = train_batch(c, xs[idx], ys[idx], sigmas[idx],
                                       opt_cfg, trainer, rng)
 
     test_set = LabeledDataset(xt, yt)
-    cert = GaussianCertConfig(sigma=sigma0, n0=100, n_cert=n_cert,
+    cert = GaussianCertConfig(sigma=base_opt.sigma0, n0=100, n_cert=n_cert,
                               alpha_fail=0.001, seed=seed)
-    cert_opt = replace(base_opt, step_alpha=cert_step, iters_k=cert_iters,
-                       n_samples=32, return_mode="best_iterate")
+    cert_opt = replace(base_opt, iters_k=100, n_samples=32,
+                       return_mode="best_iterate")
     _, _, m_fixed = run_campaign(
         CampaignConfig(mode=MODE_FIXED, cert=cert, opt=cert_opt),
         dataset=test_set, classifier=c)

@@ -221,12 +221,11 @@ def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
                    for i in range(len(x))]
 
 
-def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0,
-               sigma_floor: float = 1e-3) -> np.ndarray:
+def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0) -> np.ndarray:
     """Evaluation grid of scales with exactly budget/n_samples points.
 
-    Spacing is sigma_grid_max * n_samples / budget; a grid point landing at
-    zero is replaced by ``sigma_floor``.
+    Spacing is sigma_grid_max * n_samples / budget, which must be positive
+    and finite.
     """
     if n_samples < 1 or budget < 1:
         raise ValueError("n_samples and budget must be >= 1")
@@ -234,14 +233,13 @@ def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0,
         raise ValueError(f"budget {budget} must be divisible by n_samples {n_samples}")
     m = budget // n_samples
     delta = sigma_grid_max / m
-    grid = delta * np.arange(1, m + 1)
-    grid[grid <= 0.0] = sigma_floor
-    return grid
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"sigma_grid_max must be positive and finite, got {sigma_grid_max!r}")
+    return delta * np.arange(1, m + 1)
 
 
 def grid_search_sigma(c: ClassifierHandle, x, n_samples: int, budget: int,
-                      sigma_grid_max: float = 1.0, sigma_floor: float = 1e-3,
-                      noise: NoiseBatch | None = None,
+                      sigma_grid_max: float = 1.0, noise: NoiseBatch | None = None,
                       rng: np.random.Generator | None = None) -> float:
     """Crude baseline: evaluate the plug-in radius on an even grid of scales.
 
@@ -250,7 +248,7 @@ def grid_search_sigma(c: ClassifierHandle, x, n_samples: int, budget: int,
     ``budget``. Returns the argmax scale (earliest grid point on ties). The
     norm follows the noise kind; without noise a gaussian batch is drawn.
     """
-    grid = sigma_grid(n_samples, budget, sigma_grid_max, sigma_floor)
+    grid = sigma_grid(n_samples, budget, sigma_grid_max)
     if noise is None:
         if rng is None:
             rng = np.random.default_rng(0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierHandle, as_point
+from .memory import NORM_L1, NORM_L2
 from .stats import (binom_lower_confidence, binom_two_sided_pvalue,
                     clamp_probability, std_normal_quantile)
 
@@ -40,9 +41,6 @@ __all__ = [
 ABSTAIN = -1
 
 _VOTE_BATCH = 1 << 14
-
-NORM_L2 = "l2"
-NORM_L1 = "l1"
 
 NOISE_GAUSSIAN = "gaussian"
 NOISE_UNIFORM = "uniform"

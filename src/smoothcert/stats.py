@@ -55,11 +55,9 @@ def std_normal_quantile(p):
     return float(z) if z.ndim == 0 else z
 
 
-def clamp_probability(p, clamp: float = P_CLAMP):
-    """Pull p into [clamp, 1 - clamp] so the normal quantile stays finite."""
-    if not 0.0 < clamp < 0.5:
-        raise ValueError(f"clamp must lie in (0, 0.5), got {clamp!r}")
-    q = np.clip(np.asarray(p, dtype=float), clamp, 1.0 - clamp)
+def clamp_probability(p):
+    """Pull p into [P_CLAMP, 1 - P_CLAMP] so the normal quantile stays finite."""
+    q = np.clip(np.asarray(p, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
     return float(q) if q.ndim == 0 else q
 
 

@@ -25,15 +25,13 @@ def make_two_clusters(n: int, seed: int = 0, separation: float = 4.0,
     return points, labels.astype(int)
 
 
-def make_annuli(n: int, seed: int = 0, inner_max: float = 0.8,
-                outer_min: float = 1.6, outer_max: float = 2.4
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Concentric annuli: class 0 fills a disk, class 1 a surrounding ring."""
+def make_annuli(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Concentric annuli: class 0 fills the disk r <= 0.8, class 1 the ring 1.6 <= r <= 2.4."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 202]))
     labels = rng.integers(0, 2, size=n)
     radii = np.where(labels == 0,
-                     inner_max * np.sqrt(rng.uniform(0.0, 1.0, size=n)),
-                     np.sqrt(rng.uniform(outer_min ** 2, outer_max ** 2, size=n)))
+                     0.8 * np.sqrt(rng.uniform(0.0, 1.0, size=n)),
+                     np.sqrt(rng.uniform(1.6 ** 2, 2.4 ** 2, size=n)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     points = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     return points, labels.astype(int)

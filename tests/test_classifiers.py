@@ -13,11 +13,10 @@ from smoothcert.classifiers import (ClassifierHandle, DerivativeUnsupportedError
                                     affine_softmax_classifier,
                                     classifier_from_config,
                                     classifier_to_config, constant_classifier,
-                                    directional_derivative,
                                     halfspace_smoothed_prob,
                                     hard_halfspace_classifier, load_classifier,
                                     mlp_classifier, nested_ball_classifier,
-                                    nested_ball_smoothed_prob, predict_probs,
+                                    nested_ball_smoothed_prob,
                                     probit_halfspace_classifier,
                                     probit_halfspace_smoothed_prob,
                                     save_classifier, validate_simplex)
@@ -30,27 +29,37 @@ def mc_smoothed_prob(c, x, sigma, class_idx, n, seed):
     return float(c.probs(pts).mean(axis=0)[class_idx])
 
 
+def probs_at(c, x):
+    """The classifier's simplex row at the single point x."""
+    return validate_simplex(c.probs(np.asarray(x, dtype=float)[None, :])[0])
+
+
+def jacobian_at(c, x):
+    """The (num_classes, dim) input-Jacobian at the single point x."""
+    return c.input_grads(np.asarray(x, dtype=float)[None, :])[0]
+
+
 class TestPredictProbs:
     def test_constant_uniform(self):
         c = constant_classifier([0.25, 0.25, 0.25, 0.25], dim=3)
-        p = predict_probs(c, [1.0, -2.0, 0.5])
+        p = probs_at(c, [1.0, -2.0, 0.5])
         assert np.allclose(p, 0.25)
 
     def test_probit_halfspace_value(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        p = predict_probs(c, [1.0, 0.0])
+        p = probs_at(c, [1.0, 0.0])
         assert p[1] == pytest.approx(std_normal_cdf(2.0), abs=1e-12)
         assert p[1] == pytest.approx(0.97725, abs=1e-5)
 
     def test_zero_weight_softmax_uniform(self):
         c = affine_softmax_classifier(np.zeros((3, 2)), np.zeros(3))
-        p = predict_probs(c, [5.0, -7.0])
+        p = probs_at(c, [5.0, -7.0])
         assert np.allclose(p, 1.0 / 3.0)
 
     def test_dimension_mismatch(self):
         c = constant_classifier([1.0], dim=2)
-        with pytest.raises(ValueError):
-            predict_probs(c, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"expected points of shape \(m, 2\)"):
+            probs_at(c, [1.0, 2.0, 3.0])
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     def test_all_builtins_emit_simplex_rows(self, coords):
@@ -65,17 +74,32 @@ class TestPredictProbs:
             mlp_classifier(TinyMLP(2, 8, 3, rng=np.random.default_rng(5))),
         ]
         for c in handles:
-            validate_simplex(predict_probs(c, x))
+            probs_at(c, x)
+
+
+# Every built-in that has an input-Jacobian.
+GRAD_BUILDERS = {
+    "constant": lambda: constant_classifier([0.3, 0.7], dim=2),
+    "affine_softmax": lambda: affine_softmax_classifier([[0.8, -0.4], [-0.3, 1.2]],
+                                                        [0.2, -0.1]),
+    "probit_halfspace": lambda: probit_halfspace_classifier([0.6, 0.8], -0.2, 0.4),
+    "mlp": lambda: mlp_classifier(TinyMLP(2, 12, 3, rng=np.random.default_rng(11))),
+}
 
 
 class TestDirectionalDerivative:
+    """Directional derivatives v . grad f^k(x) read off ``input_grads``."""
+
     def test_constant_is_flat(self):
         c = constant_classifier([0.3, 0.7], dim=2)
-        assert directional_derivative(c, [0.4, -1.0], 1, [2.0, 3.0]) == 0.0
+        assert jacobian_at(c, [0.4, -1.0])[1] @ np.array([2.0, 3.0]) == 0.0
 
     def test_zero_direction(self):
+        # the probit output only moves along w: zero along a direction orthogonal to it
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        assert directional_derivative(c, [1.0, 0.0], 1, [0.0, 0.0]) == 0.0
+        jac = jacobian_at(c, [1.0, 0.0])
+        assert jac[1] @ np.array([0.0, 1.0]) == 0.0
+        assert jac[1] @ np.zeros(2) == 0.0
 
     def test_probit_along_w_closed_form(self):
         w, b, s = np.array([2.0, -1.0]), 0.3, 0.5
@@ -83,14 +107,10 @@ class TestDirectionalDerivative:
         c = probit_halfspace_classifier(w, b, s)
         u = (w @ x - b) / s
         expected = std_normal_pdf(u) * (w @ w) / s
-        assert directional_derivative(c, x, 1, w) == pytest.approx(expected,
-                                                                   rel=1e-12)
+        assert jacobian_at(c, x)[1] @ w == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("builder", [
-        lambda: affine_softmax_classifier([[0.8, -0.4], [-0.3, 1.2]], [0.2, -0.1]),
-        lambda: probit_halfspace_classifier([0.6, 0.8], -0.2, 0.4),
-        lambda: mlp_classifier(TinyMLP(2, 12, 3, rng=np.random.default_rng(11))),
-    ])
+    @pytest.mark.parametrize("builder", [GRAD_BUILDERS[kind] for kind in
+                                         ("affine_softmax", "probit_halfspace", "mlp")])
     def test_analytic_matches_central_differences(self, builder):
         c = builder()
         rng = np.random.default_rng(99)
@@ -98,16 +118,25 @@ class TestDirectionalDerivative:
             x = rng.normal(size=2)
             v = rng.normal(size=2)
             h = 1e-4 * (1.0 + np.max(np.abs(x)))
-            for cls in range(c.num_classes):
-                analytic = directional_derivative(c, x, cls, v)
-                hi = predict_probs(c, x + h * v)[cls]
-                lo = predict_probs(c, x - h * v)[cls]
-                assert analytic == pytest.approx((hi - lo) / (2 * h), abs=1e-4)
+            analytic = jacobian_at(c, x) @ v
+            central = (probs_at(c, x + h * v) - probs_at(c, x - h * v)) / (2 * h)
+            assert analytic == pytest.approx(central, abs=1e-4)
 
     def test_value_only_without_fallback_raises(self):
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
         with pytest.raises(DerivativeUnsupportedError):
-            directional_derivative(c, [1.0, 0.0], 1, [1.0, 0.0], allow_fd=False)
+            jacobian_at(c, [1.0, 0.0])
+
+
+
+class TestInputGrads:
+    @pytest.mark.parametrize("kind", list(GRAD_BUILDERS))
+    @pytest.mark.parametrize("shape", [(5, 3), (2,), (4, 2, 1)],
+                             ids=["wrong-width", "1-D", "3-D"])
+    def test_points_of_the_wrong_shape_rejected(self, kind, shape):
+        c = GRAD_BUILDERS[kind]()
+        with pytest.raises(ValueError, match=r"expected points of shape \(m, 2\)"):
+            c.input_grads(np.zeros(shape))
 
 
 class TestSmoothedOracles:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from smoothcert.memory import (CertifiedRegion, MemoryInvariantError,
                                MemoryStore, audit,
-                               intersect, largest_in_subset, largest_out_subset,
+                               largest_in_subset, largest_out_subset,
                                load_memory, memory_insert, save_memory)
 
 
@@ -166,25 +166,88 @@ class TestRegion:
             region(center, radius, 0, sigma=sigma)
 
 
+def insert_after(entry, cand):
+    """memory_insert of cand into a store that holds only entry."""
+    store = MemoryStore()
+    memory_insert(store, entry)
+    return memory_insert(store, cand)
+
+
 class TestIntersect:
+    """Which differently-predicted balls memory_insert treats as overlapping."""
+
     def test_clear_overlap(self):
-        assert intersect(region((0.0, 0.0), 1.0, 0), region((1.0, 0.0), 1.0, 1))
+        assert insert_after(region((0.0, 0.0), 1.0, 0), region((1.0, 0.0), 1.0, 1))[2]
 
     def test_clear_separation(self):
-        assert not intersect(region((0.0, 0.0), 1.0, 0),
-                             region((3.0, 0.0), 1.5, 1))
+        assert not insert_after(region((0.0, 0.0), 1.0, 0),
+                                region((3.0, 0.0), 1.5, 1))[2]
 
     def test_tangency_is_not_overlap(self):
-        assert not intersect(region((0.0, 0.0), 1.0, 0),
-                             region((2.5, 0.0), 1.5, 1))
+        assert not insert_after(region((0.0, 0.0), 1.0, 0),
+                                region((2.5, 0.0), 1.5, 1))[2]
 
     def test_norm_mismatch(self):
-        with pytest.raises(ValueError):
-            intersect(region((0.0,), 1.0, 0), region((0.0,), 1.0, 1, norm="l1"))
+        with pytest.raises(ValueError, match="norm mismatch: 'l2' vs 'l1'"):
+            insert_after(region((0.0,), 1.0, 0), region((0.0,), 1.0, 1, norm="l1"))
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            intersect(region((0.0,), 1.0, 0), region((0.0, 0.0), 1.0, 1))
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            insert_after(region((0.0,), 1.0, 0), region((0.0, 0.0), 1.0, 1))
+
+    def test_rejected_region_is_not_stored(self):
+        store = MemoryStore()
+        memory_insert(store, region((0.0,), 1.0, 0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            memory_insert(store, region((5.0, 0.0), 1.0, 1))
+        assert len(store) == 1 and counters(store) == (1, 0, 0, 0)
+
+
+def one_entry_cases(rng, norm):
+    """(entry, candidate) pairs that predict differently, in d=1..5: centers
+    inside and outside the entry, centers on its boundary, tangent balls and
+    zero radii."""
+    for d in range(1, 6):
+        for shape in ("inside", "outside", "boundary", "tangent", "zero"):
+            for _ in range(20):
+                c = rng.normal(size=d)
+                v = rng.normal(size=d)
+                v /= np.linalg.norm(v, ord=2 if norm == "l2" else 1)
+                r_entry = rng.uniform(0.1, 2.0)
+                t = r_entry * rng.uniform(*(0.0, 1.0) if shape == "inside" else (1.0, 3.0))
+                x = c + t * v
+                r_cand = rng.uniform(0.0, 3.0)
+                dist = ref_distance(region(c, 0.0, 0, norm=norm), region(x, 0.0, 1, norm=norm))
+                if shape == "boundary":
+                    r_entry = dist
+                elif shape == "tangent":
+                    r_cand = max(0.0, dist - r_entry)
+                elif shape == "zero":
+                    r_cand = 0.0
+                    if rng.uniform() < 0.5:
+                        r_entry, x = 0.0, c
+                yield region(c, r_entry, 0, norm=norm), region(x, r_cand, 1, norm=norm)
+
+
+class TestOneRule:
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_insert_matches_largest_subsets(self, norm):
+        # memory_insert and the largest_*_subset helpers apply the same rule
+        seen = set()
+        for entry, cand in one_entry_cases(np.random.default_rng(44), norm):
+            try:
+                want = entry.prediction, largest_in_subset(entry, cand)
+            except ValueError:  # the center lies outside the entry
+                want = cand.prediction, largest_out_subset(entry, cand)
+            pred, final, adjusted = insert_after(entry, cand)
+            assert (pred, final.radius) == want and final.prediction == pred
+            assert adjusted or final == cand
+            seen.add((pred == entry.prediction, final.radius < cand.radius,
+                      final.radius == 0.0))
+        # overrides, shrinks and untouched inserts, with and without zero radii
+        assert seen >= {(True, True, True), (True, True, False), (True, False, True),
+                        (False, True, False), (False, False, False),
+                        (False, False, True)}
 
 
 class TestLargestSubsets:

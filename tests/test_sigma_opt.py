@@ -288,6 +288,14 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             sigma_grid(3, 200, 1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_max_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="sigma_grid_max must be positive and finite"):
+            sigma_grid(1, 200, bad)
+        with pytest.raises(ValueError, match="sigma_grid_max must be positive and finite"):
+            grid_search_sigma(constant_classifier([0.9, 0.1], dim=2), [0.0, 0.0], 1, 200,
+                              sigma_grid_max=bad, rng=np.random.default_rng(0))
+
     def test_one_probs_call_for_the_grid(self):
         c, calls = counting(nested_ball_classifier(1.0, dim=2))
         grid_search_sigma(c, [0.0, 0.0], 4, 200, rng=np.random.default_rng(0))

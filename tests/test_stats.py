@@ -115,13 +115,6 @@ class TestClamp:
         assert clamp_probability(0.0) == P_CLAMP
         assert clamp_probability(1.0) == 1.0 - P_CLAMP
 
-    def test_custom_clamp(self):
-        assert clamp_probability(0.0, clamp=0.01) == 0.01
-
-    def test_invalid_clamp(self):
-        with pytest.raises(ValueError):
-            clamp_probability(0.5, clamp=0.7)
-
 
 class TestBinomLowerConfidence:
     def test_all_successes_small(self):
