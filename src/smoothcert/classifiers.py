@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sps
 
-from .stats import std_normal_cdf
+from .stats import std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "ClassifierHandle",
@@ -211,8 +211,7 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
 
     def grad_fn(points):
         u = (points @ w - b) / s
-        dens = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        g1 = dens[:, None] * (w / s)              # (m, d)
+        g1 = std_normal_pdf(u)[:, None] * (w / s)  # (m, d)
         return np.stack([-g1, g1], axis=1)
 
     return ClassifierHandle("probit_halfspace", w.size, 2, probs_fn, grad_fn,

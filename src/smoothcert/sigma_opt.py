@@ -239,19 +239,20 @@ def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0) -> np.n
 
 
 def grid_search_sigma(c: ClassifierHandle, x, n_samples: int, budget: int,
-                      sigma_grid_max: float = 1.0, noise: NoiseBatch | None = None,
-                      rng: np.random.Generator | None = None) -> float:
+                      sigma_grid_max: float = 1.0,
+                      noise: NoiseBatch | None = None) -> float:
     """Crude baseline: evaluate the plug-in radius on an even grid of scales.
 
-    Every grid point is scored with the same noise batch in one classifier
-    call, keeping the total number of point evaluations at exactly
-    ``budget``. Returns the argmax scale (earliest grid point on ties). The
-    norm follows the noise kind; without noise a gaussian batch is drawn.
+    Every grid point is scored with the same noise batch of ``n_samples``
+    draws in one classifier call, keeping the total number of point
+    evaluations at exactly ``budget``. Returns the argmax scale (earliest grid
+    point on ties). The norm follows the noise kind; without noise a gaussian
+    batch is drawn from ``default_rng(0)``.
     """
     grid = sigma_grid(n_samples, budget, sigma_grid_max)
     if noise is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        noise = draw_noise(rng, n_samples, c.dim)
+        noise = draw_noise(np.random.default_rng(0), n_samples, c.dim)
+    elif len(noise) != n_samples:
+        raise ValueError(f"noise has {len(noise)} draws, expected n_samples={n_samples}")
     radii, _, _, _ = plugin_radii(c, x, grid, noise)
     return float(grid[int(np.argmax(radii))])

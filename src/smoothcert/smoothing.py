@@ -1,4 +1,4 @@
-"""Monte Carlo smooth-classifier prediction and sound certification.
+"""Monte Carlo voting and sound certification of smoothed classifiers.
 
 Gaussian noise yields L2 certificates, coordinate-wise uniform noise yields
 L1 certificates. The plug-in radius used inside the scale optimizer lives
@@ -18,8 +18,7 @@ import numpy as np
 
 from .classifiers import ClassifierHandle, as_point
 from .memory import NORM_L1, NORM_L2
-from .stats import (binom_lower_confidence, binom_two_sided_pvalue,
-                    clamp_probability, std_normal_quantile)
+from .stats import binom_lower_confidence, clamp_probability, std_normal_quantile
 
 __all__ = [
     "ABSTAIN",
@@ -29,7 +28,6 @@ __all__ = [
     "rng_for_input",
     "draw_noise",
     "vote_counts",
-    "smooth_predict",
     "certify_l2",
     "certify_l1",
     "plugin_radii",
@@ -154,26 +152,9 @@ def _top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, np.argmax(rest, axis=-1)
 
 
-def smooth_predict(c: ClassifierHandle, x, cfg: GaussianCertConfig,
-                   input_index: int = 0, rng: np.random.Generator | None = None) -> int:
-    """Monte Carlo prediction of the smoothed classifier at x.
-
-    Draws ``cfg.n0`` hard votes at noise scale ``cfg.sigma`` and returns the
-    top class only when the exact two-sided binomial test against the
-    runner-up is significant at ``cfg.alpha_fail``; otherwise ABSTAIN.
-    """
+def _certify(c, x, scale, cfg, kind, norm, rng) -> CertificationOutcome:
     if rng is None:
-        rng = rng_for_input(cfg.seed, input_index)
-    counts = vote_counts(c, x, cfg.sigma, cfg.n0, rng)
-    top, runner = map(int, _top_two(counts))
-    n_two = int(counts[top] + counts[runner])
-    pval = binom_two_sided_pvalue(int(counts[top]), n_two, 0.5)
-    return top if pval <= cfg.alpha_fail else ABSTAIN
-
-
-def _certify(c, x, scale, cfg, kind, norm, rng, input_index) -> CertificationOutcome:
-    if rng is None:
-        rng = rng_for_input(cfg.seed, input_index)
+        rng = rng_for_input(cfg.seed, 0)
     counts0 = vote_counts(c, x, scale, cfg.n0, rng, kind)
     candidate = int(np.argmax(counts0))
     counts = vote_counts(c, x, scale, cfg.n_cert, rng, kind)
@@ -191,7 +172,6 @@ def _certify(c, x, scale, cfg, kind, norm, rng, input_index) -> CertificationOut
 
 
 def certify_l2(c: ClassifierHandle, x, cfg: GaussianCertConfig,
-               input_index: int = 0,
                rng: np.random.Generator | None = None) -> CertificationOutcome:
     """Sound L2 certification of the Gaussian-smoothed classifier at x.
 
@@ -201,20 +181,19 @@ def certify_l2(c: ClassifierHandle, x, cfg: GaussianCertConfig,
     p_lower on the candidate class probability yields radius
     sigma * Phi^{-1}(p_lower), abstaining whenever p_lower <= 1/2.
     """
-    return _certify(c, x, cfg.sigma, cfg, NOISE_GAUSSIAN, NORM_L2, rng, input_index)
+    return _certify(c, x, cfg.sigma, cfg, NOISE_GAUSSIAN, NORM_L2, rng)
 
 
 def certify_l1(c: ClassifierHandle, x, lam: float, cfg: GaussianCertConfig,
-               input_index: int = 0,
                rng: np.random.Generator | None = None) -> CertificationOutcome:
     """Sound L1 certification under uniform noise on [-lam, lam]^d.
 
     Bounds the runner-up probability by 1 - p_lower, giving radius
     lam * (2 * p_lower - 1), floored at zero with an abstention.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return _certify(c, x, float(lam), cfg, NOISE_UNIFORM, NORM_L1, rng, input_index)
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    return _certify(c, x, float(lam), cfg, NOISE_UNIFORM, NORM_L1, rng)
 
 
 def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):
@@ -229,8 +208,8 @@ def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):
     """
     x = np.asarray(x, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    if scales.ndim < 1 or not np.all(scales > 0):
-        raise ValueError(f"scales must be an array of positive values, got {scales}")
+    if scales.ndim < 1 or not np.all((scales > 0) & (scales < np.inf)):
+        raise ValueError(f"scales must be an array of positive finite values, got {scales}")
     if x.ndim < 1 or not np.all(np.isfinite(x)):
         raise ValueError("point entries must be finite")
     if x.shape[-1] != c.dim or noise.draws.shape[-1] != c.dim:

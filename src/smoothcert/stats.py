@@ -1,4 +1,4 @@
-"""Standard-normal special functions and exact binomial statistics.
+"""Standard-normal special functions and the exact Clopper-Pearson bound.
 
 Thin validated wrappers: the normal quantile and the Clopper-Pearson bound
 come from ``scipy.special``, the CDF and density from ``math``. Monte Carlo
@@ -21,7 +21,6 @@ __all__ = [
     "std_normal_quantile",
     "clamp_probability",
     "binom_lower_confidence",
-    "binom_two_sided_pvalue",
 ]
 
 # Default clamp applied to estimated probabilities before the normal quantile.
@@ -61,17 +60,6 @@ def clamp_probability(p):
     return float(q) if q.ndim == 0 else q
 
 
-def _validate_counts(k: int, n: int) -> tuple[int, int]:
-    if int(k) != k or int(n) != n:
-        raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}")
-    k, n = int(k), int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    return k, n
-
-
 def binom_lower_confidence(k: int, n: int, alpha: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound on a binomial proportion.
 
@@ -80,28 +68,16 @@ def binom_lower_confidence(k: int, n: int, alpha: float) -> float:
     satisfies P(p <= p_true) >= 1 - alpha over repeated experiments. That p
     is the alpha quantile of Beta(k, n - k + 1).
     """
-    k, n = _validate_counts(k, n)
+    if int(k) != k or int(n) != n:
+        raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}")
+    k, n = int(k), int(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     if k == 0:
         return 0.0
     return float(sps.betaincinv(k, n - k + 1, alpha))
-
-
-def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
-    """Exact two-sided binomial p-value for H0: success probability = p0.
-
-    Uses the minimum-likelihood convention: the p-value sums the probability
-    of every outcome no more likely than the observed k (with a 1e-7 relative
-    slack absorbing ties that differ only in rounding).
-    """
-    k, n = _validate_counts(k, n)
-    p0 = float(p0)
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"p0 must lie strictly in (0, 1), got {p0!r}")
-    i = np.arange(n + 1)
-    log_pmf = (sps.gammaln(n + 1) - sps.gammaln(i + 1) - sps.gammaln(n - i + 1)
-               + i * math.log(p0) + (n - i) * math.log1p(-p0))
-    total = np.exp(log_pmf[log_pmf <= log_pmf[k] + 1e-7]).sum()
-    return min(1.0, float(total))

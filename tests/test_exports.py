@@ -1,0 +1,19 @@
+"""Every name a smoothcert module lists in ``__all__`` resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import smoothcert
+
+MODULES = ["smoothcert"] + [f"smoothcert.{m.name}"
+                            for m in pkgutil.iter_modules(smoothcert.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -294,18 +294,25 @@ class TestGridSearch:
             sigma_grid(1, 200, bad)
         with pytest.raises(ValueError, match="sigma_grid_max must be positive and finite"):
             grid_search_sigma(constant_classifier([0.9, 0.1], dim=2), [0.0, 0.0], 1, 200,
-                              sigma_grid_max=bad, rng=np.random.default_rng(0))
+                              sigma_grid_max=bad)
 
     def test_one_probs_call_for_the_grid(self):
         c, calls = counting(nested_ball_classifier(1.0, dim=2))
-        grid_search_sigma(c, [0.0, 0.0], 4, 200, rng=np.random.default_rng(0))
+        grid_search_sigma(c, [0.0, 0.0], 4, 200)
         assert calls == {"probs": 1, "grads": 0}
+
+    def test_noise_must_hold_n_samples_draws(self):
+        # 10 draws scored at 200 grid points would be 2000 evaluations, not 200
+        c, calls = counting(nested_ball_classifier(1.0, dim=2))
+        noise = draw_noise(np.random.default_rng(0), 10, 2)
+        with pytest.raises(ValueError, match="expected n_samples=1"):
+            grid_search_sigma(c, [0.0, 0.0], 1, 200, noise=noise)
+        assert calls == {"probs": 0, "grads": 0}
 
     def test_constant_classifier_takes_largest_point(self):
         # R = sigma * const is linear in sigma
         c = constant_classifier([0.9, 0.1], dim=2)
-        s = grid_search_sigma(c, [0.0, 0.0], 1, 200, sigma_grid_max=1.0,
-                              rng=np.random.default_rng(0))
+        s = grid_search_sigma(c, [0.0, 0.0], 1, 200, sigma_grid_max=1.0)
         assert s == pytest.approx(1.0)
 
     def test_ball_argmax_within_one_spacing(self):

@@ -1,4 +1,4 @@
-"""Monte Carlo prediction, sound certification, and the plug-in radius."""
+"""Monte Carlo voting, sound certification, and the plug-in radius."""
 
 import math
 from dataclasses import replace
@@ -16,7 +16,7 @@ from smoothcert.smoothing import (ABSTAIN, CertificationOutcome,
                                   GaussianCertConfig, NoiseBatch, certify_l1,
                                   certify_l2, draw_noise, plugin_radii,
                                   proxy_radius, proxy_radius_l1, rng_for_input,
-                                  smooth_predict, vote_counts)
+                                  vote_counts)
 from smoothcert.stats import P_CLAMP, binom_lower_confidence, std_normal_quantile
 
 
@@ -144,39 +144,9 @@ class TestVoteCounts:
         cfg = GaussianCertConfig(sigma=scale, n0=100, n_cert=70_000, seed=3)
         assert np.array_equal(vote_counts(fast, x, scale, 70_000, rng_for_input(1, 2)),
                               vote_counts(c, x, scale, 70_000, rng_for_input(1, 2)))
-        assert certify_l2(fast, x, cfg, input_index=5) == certify_l2(c, x, cfg,
-                                                                    input_index=5)
+        assert (certify_l2(fast, x, cfg, rng=rng_for_input(cfg.seed, 5))
+                == certify_l2(c, x, cfg, rng=rng_for_input(cfg.seed, 5)))
         assert certify_l1(fast, x, scale, cfg) == certify_l1(c, x, scale, cfg)
-
-
-class TestSmoothPredict:
-    def test_unanimous_constant(self):
-        c = constant_classifier([1.0, 0.0], dim=2)
-        cfg = GaussianCertConfig(sigma=0.5, n0=100, n_cert=100, seed=0)
-        assert smooth_predict(c, [0.0, 0.0], cfg) == 0
-
-    def test_exact_tie_abstains(self):
-        # choose the halfspace offset so the realized n0 votes split 50/50
-        sigma, n0, seed = 0.5, 100, 11
-        x = np.zeros(2)
-        w = np.array([1.0, 0.0])
-        draws = rng_for_input(seed, 0).standard_normal((n0, 2))
-        proj = np.sort((x[None, :] + sigma * draws) @ w)
-        b = 0.5 * (proj[n0 // 2 - 1] + proj[n0 // 2])
-        c = hard_halfspace_classifier(w, b)
-        counts = vote_counts(c, x, sigma, n0, rng_for_input(seed, 0))
-        assert counts[0] == counts[1] == n0 // 2
-        cfg = GaussianCertConfig(sigma=sigma, n0=n0, n_cert=n0,
-                                 alpha_fail=0.001, seed=seed)
-        assert smooth_predict(c, x, cfg) == ABSTAIN
-
-    def test_halfspace_three_sigma_margin(self):
-        sigma = 0.4
-        c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        cfg = GaussianCertConfig(sigma=sigma, n0=100, n_cert=100,
-                                 alpha_fail=0.001, seed=5)
-        # margin 3*sigma: votes ~ Bin(100, Phi(3)), overwhelmingly class 1
-        assert smooth_predict(c, [3.0 * sigma, 0.0], cfg) == 1
 
 
 class TestCertifyL2:
@@ -217,8 +187,8 @@ class TestCertifyL2:
     def test_bit_reproducible(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
         cfg = GaussianCertConfig(sigma=0.3, n0=100, n_cert=2000, seed=17)
-        a = certify_l2(c, [0.7, 0.1], cfg, input_index=4)
-        b = certify_l2(c, [0.7, 0.1], cfg, input_index=4)
+        a = certify_l2(c, [0.7, 0.1], cfg, rng=rng_for_input(cfg.seed, 4))
+        b = certify_l2(c, [0.7, 0.1], cfg, rng=rng_for_input(cfg.seed, 4))
         assert a == b
 
     def test_dimension_mismatch(self):
@@ -262,8 +232,9 @@ class TestCertifyL1:
     def test_nonpositive_lambda(self):
         c = constant_classifier([1.0, 0.0], dim=1)
         cfg = GaussianCertConfig(sigma=1.0, n0=10, n_cert=10)
-        with pytest.raises(ValueError):
-            certify_l1(c, [0.0], 0.0, cfg)
+        for lam in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                certify_l1(c, [0.0], lam, cfg)
 
     def test_radius_nonnegative_and_zero_iff_not_confident(self):
         rng = np.random.default_rng(30)
@@ -272,7 +243,7 @@ class TestCertifyL1:
         c = hard_halfspace_classifier([1.0], 0.0)
         for i in range(25):
             x = rng.uniform(-1.5, 1.5, size=1)
-            out = certify_l1(c, x, 1.0, cfg, input_index=i)
+            out = certify_l1(c, x, 1.0, cfg, rng=rng_for_input(cfg.seed, i))
             assert out.radius >= 0.0
             if out.p_lower <= 0.5:
                 assert out.radius == 0.0 and out.prediction == ABSTAIN
@@ -355,6 +326,13 @@ class TestProxyRadius:
             one = plugin_radii(c, xs[i], scales[i], NoiseBatch(kind, noise.draws[i]))
             for got, want in zip((radii[i], top[i], runner[i], means[i]), one):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_plugin_radii_rejects_bad_scales(self, bad):
+        c = constant_classifier([0.8, 0.2], dim=2)
+        noise = draw_noise(np.random.default_rng(0), 10, 2, kind="uniform")
+        with pytest.raises(ValueError, match="scales must be"):
+            plugin_radii(c, [0.0, 0.0], [0.5, bad], noise)
 
     def test_wrong_noise_kind_rejected(self):
         c = constant_classifier([0.8, 0.2], dim=2)

@@ -3,7 +3,7 @@
 Reference values are frozen from independent routes: high-order quadrature of
 the normal density, bisection on the CDF, the closed form alpha**(1/n) for
 the all-successes confidence bound, and scipy's beta-quantile Clopper-Pearson
-and exact binomial test as cross-implementations.
+as a cross-implementation.
 """
 
 import math
@@ -14,8 +14,7 @@ from hypothesis import given, strategies as st
 from scipy import stats as sstats
 
 from smoothcert.stats import (P_CLAMP, binom_lower_confidence,
-                              binom_two_sided_pvalue, clamp_probability,
-                              std_normal_cdf, std_normal_pdf,
+                              clamp_probability, std_normal_cdf, std_normal_pdf,
                               std_normal_quantile)
 
 
@@ -177,28 +176,3 @@ class TestBinomLowerConfidence:
         for alpha in (0.05, 0.001):
             assert binom_lower_confidence(n, n, alpha) == pytest.approx(
                 alpha ** (1.0 / n), abs=1e-12)
-
-
-class TestBinomTwoSidedPvalue:
-    def test_null_center(self):
-        assert binom_two_sided_pvalue(50, 100, 0.5) == pytest.approx(1.0, abs=1e-9)
-
-    def test_extreme_tail(self):
-        assert binom_two_sided_pvalue(100, 100, 0.5) == pytest.approx(
-            2.0 * 0.5 ** 100, rel=1e-12)
-
-    def test_single_draw(self):
-        assert binom_two_sided_pvalue(0, 1, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("k,n,p0", [
-        (3, 10, 0.5), (60, 100, 0.5), (10, 40, 0.2), (0, 7, 0.35), (17, 20, 0.9),
-    ])
-    def test_matches_scipy_binomtest(self, k, n, p0):
-        ref = sstats.binomtest(k, n, p0).pvalue
-        assert binom_two_sided_pvalue(k, n, p0) == pytest.approx(ref, rel=1e-9)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binom_two_sided_pvalue(5, 10, 0.0)
-        with pytest.raises(ValueError):
-            binom_two_sided_pvalue(5, 4, 0.5)
