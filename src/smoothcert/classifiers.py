@@ -4,7 +4,9 @@ A :class:`ClassifierHandle` wraps a batch evaluation function mapping points
 to rows of the probability simplex, optionally with an input-Jacobian for
 analytic gradients. The built-in classifiers are chosen so that their
 Gaussian- or uniform-smoothed expectations have closed forms, which the test
-suite uses as independent oracles, plus a tiny trainable perceptron.
+suite uses as independent oracles, plus a tiny trainable perceptron. The
+half-space oracles hold in any dimension, and so does the ball's: scipy's
+noncentral chi-square CDF.
 """
 
 from __future__ import annotations
@@ -349,56 +351,22 @@ def probit_halfspace_smoothed_prob(w_unit, b: float, s: float, x, sigma: float) 
     return std_normal_cdf((float(w @ x) - b) / math.hypot(s, sigma))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _quad(f, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    n_panels = max(1, int(math.ceil((hi - lo) / 0.5)))  # panels at most 0.5 wide
-    edges = np.linspace(lo, hi, n_panels + 1)
-    total = 0.0
-    for a, bb in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + bb), 0.5 * (bb - a)
-        total += half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
-    return total
-
-
 def nested_ball_smoothed_prob(rho: float, x, sigma: float) -> float:
-    """P(||x + eps||_2 <= rho) under eps ~ N(0, sigma^2 I).
+    """P(||x + eps||_2 <= rho) under eps ~ N(0, sigma^2 I), in any dimension d.
 
-    Exact at the origin (chi CDF with d degrees of freedom). Off-origin the
-    value comes from the closed form in d=1 and from 1-D radial quadrature of
-    the norm density in d=2 and d=3, accurate to well below 1e-8; other
-    dimensions are unsupported off-origin.
+    ||x + eps||^2 / sigma^2 is noncentral chi-square with d degrees of freedom
+    and noncentrality ||x||^2 / sigma^2, so this is its CDF at (rho / sigma)^2.
     """
     x = as_point(x)
     rho, sigma = float(rho), float(sigma)
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    d = x.size
-    a = float(np.linalg.norm(x)) / sigma
-    t = rho / sigma
-    if a < 1e-12:
-        return float(sps.gammainc(d / 2.0, 0.5 * t * t))
-    if d == 1:
-        m = x[0] / sigma
-        return std_normal_cdf(t - m) - std_normal_cdf(-t - m)
-    if d == 2:
-        def rice_pdf(r):
-            return r * np.exp(-0.5 * (r - a) ** 2) * sps.i0e(a * r)
-    elif d == 3:
-        def rice_pdf(r):
-            c = 1.0 / math.sqrt(2.0 * math.pi)
-            return (r / a) * c * (np.exp(-0.5 * (r - a) ** 2)
-                                  - np.exp(-0.5 * (r + a) ** 2))
-    else:
-        raise ValueError(f"off-origin smoothed ball probability supports d <= 3, got d={d}")
-    lo = max(0.0, min(t, a - 38.0))
-    hi = min(t, a + 38.0)
-    return min(1.0, max(0.0, _quad(rice_pdf, lo, hi)))
+    for name, value in (("rho", rho), ("sigma", sigma)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    t, a = rho / sigma, float(np.linalg.norm(x)) / sigma
+    p = float(sps.chndtr(t * t, x.size, a * a))
+    if math.isnan(p):  # scipy's series gives up near rho ~ ||x|| once ||x||/sigma > ~3e5
+        raise ValueError(f"no ball probability at ||x||/sigma={a:g}, rho/sigma={t:g}")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .pipeline import (DEFAULT_RADII, CampaignConfig, checked_radii_grid,
                        metrics_from_records, read_report_csv, run_campaign,
                        run_training_demo)
 from .sigma_opt import SigmaOptConfig, optimize_sigma
-from .smoothing import GaussianCertConfig
+from .smoothing import GaussianCertConfig, draw_noise
 
 __all__ = ["build_parser", "cli_main", "main"]
 
@@ -118,8 +118,7 @@ def _opt_config(args) -> SigmaOptConfig:
                           iters_k=args.iters, n_samples=args.n,
                           sigma_min=min(args.sigma_min, args.sigma0),
                           sigma_max=max(args.sigma_max, args.sigma0),
-                          grad_mode=args.grad_mode, return_mode=args.return_mode,
-                          seed=_seed(args))
+                          grad_mode=args.grad_mode, return_mode=args.return_mode)
 
 
 def _cmd_certify(args) -> int:
@@ -143,7 +142,9 @@ def _cmd_certify(args) -> int:
 def _cmd_optimize_sigma(args) -> int:
     c = load_classifier(args.classifier)
     x = np.array([float(v) for v in args.point.split(",")])
-    sigma_star, trace = optimize_sigma(c, x, _opt_config(args))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(args)]))
+    sigma_star, trace = optimize_sigma(c, x, _opt_config(args),
+                                       draw_noise(rng, args.n, c.dim))
     print("iter,sigma,proxy_radius,top_class")
     for e in trace:
         print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")

@@ -359,9 +359,7 @@ def _checked_row(obj: dict, first: tuple | None) -> tuple:
     first = first or row
     if norm != first[4] or len(center) != len(first[0]):
         _check_compatible((first[4], len(first[0])), (norm, len(center)))
-    # a float sum is finite only if each term is (ints convert one at a time)
-    if not (math.isfinite(sum(center, 0.0 + radius + sigma))
-            or all(map(math.isfinite, (*center, radius, sigma)))) or radius < 0:
+    if not all(map(math.isfinite, (*center, radius, sigma))) or radius < 0:
         raise ValueError("center, radius and sigma must be finite and radius >= 0, "
                          f"got {row[:4]}")
     return row

@@ -50,10 +50,8 @@ class SigmaOptConfig:
     ``faithful`` return mode hands back the final iterate; ``best_iterate``
     returns the trace argmax, which is guaranteed not to fall below the
     starting radius under the shared noise batch. ``sigma0`` is the start
-    scale unless ``optimize_sigma`` gets one per input. ``seed`` only seeds
-    the noise ``optimize_sigma`` draws when given none; campaigns run the
-    ascent on blocks of rows, row idx with noise from
-    ``rng_for_input(cert.seed, idx, 1)``.
+    scale unless ``optimize_sigma`` gets one per input. The noise comes from
+    the caller; campaigns draw row idx's from ``rng_for_input(cert.seed, idx, 1)``.
     """
     sigma0: float
     step_alpha: float = 1e-4
@@ -63,7 +61,6 @@ class SigmaOptConfig:
     sigma_max: float = 2.0
     grad_mode: str = GRAD_SCALAR_FD
     return_mode: str = RETURN_FAITHFUL
-    seed: int = 0
     fd_step: float = 1e-3
 
     def __post_init__(self):
@@ -186,13 +183,12 @@ def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
 
 
 def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
-                   noise: NoiseBatch | None = None, sigma0=None):
+                   noise: NoiseBatch, sigma0=None):
     """K steps of projected gradient ascent on the plug-in radius.
 
     ``x`` is one point (d,) with noise draws (n, d), or a batch (B, d) with
-    draws (B, n, d); without noise a gaussian batch is drawn from
-    ``cfg.seed``. The draws are shared by every iterate (they do not depend on
-    the scale). Each input starts at its entry of ``sigma0`` (default
+    draws (B, n, d). The draws are shared by every iterate (they do not depend
+    on the scale). Each input starts at its entry of ``sigma0`` (default
     ``cfg.sigma0``) and every iterate is projected onto [sigma_min,
     sigma_max]; the trace shows top-class flips, and the norm follows the
     noise kind. Each iterate makes one classifier call for the whole batch,
@@ -200,9 +196,6 @@ def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
     for a batch a (B,) array of scales and a list of traces.
     """
     x = np.asarray(x, dtype=float)
-    if noise is None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
-        noise = draw_noise(rng, cfg.n_samples, c.dim, lead=x.shape[:-1])
     start = cfg.sigma0 if sigma0 is None else sigma0
     sigma = np.clip(np.broadcast_to(start, x.shape[:-1]), cfg.sigma_min, cfg.sigma_max)
     steps = []

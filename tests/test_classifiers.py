@@ -209,9 +209,40 @@ class TestSmoothedOracles:
         got = nested_ball_smoothed_prob(rho, x, sigma)
         assert got == pytest.approx(mc, abs=3 * math.sqrt(0.25 / n) + 1e-3)
 
-    def test_nested_ball_unsupported_dim_off_origin(self):
-        with pytest.raises(ValueError):
-            nested_ball_smoothed_prob(1.0, [0.1, 0.2, 0.3, 0.4], 0.5)
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_nested_ball_off_origin_against_mc(self, d):
+        rng = np.random.default_rng(40 + d)
+        x = rng.normal(size=d) * 0.4
+        rho, sigma, n = float(np.linalg.norm(x)) + 0.3, 0.5, 200_000
+        eps = sigma * rng.standard_normal((n, d))
+        mc = float(np.mean(np.linalg.norm(x + eps, axis=1) <= rho))
+        got = nested_ball_smoothed_prob(rho, x, sigma)
+        assert 0.05 < got < 0.95
+        assert got == pytest.approx(mc, abs=3 * math.sqrt(got * (1 - got) / n))
+
+    def test_nested_ball_d16_origin_closed_form(self):
+        # chi-squared(16): P(||eps|| <= rho) = P(8, rho^2 / (2 sigma^2))
+        from scipy.special import gammainc
+        for rho, sigma in ((1.0, 0.3), (4.0, 1.0), (2.5, 0.4)):
+            assert nested_ball_smoothed_prob(rho, np.zeros(16), sigma) == \
+                pytest.approx(gammainc(8.0, 0.5 * (rho / sigma) ** 2), abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["rho", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_nested_ball_rejects_bad_rho_and_sigma(self, name, bad):
+        args = {"rho": 1.0, "sigma": 0.5, name: bad}
+        with pytest.raises(ValueError, match=name):
+            nested_ball_smoothed_prob(args["rho"], [0.3, 0.1], args["sigma"])
+
+    def test_nested_ball_never_returns_nan(self):
+        # near rho = ||x|| with ||x|| / sigma = 1e6, scipy's chndtr returns NaN
+        for rho in (999.999, 1000.0, 1000.001):
+            try:
+                p = nested_ball_smoothed_prob(rho, [1e3, 0.0], 1e-3)
+            except ValueError as exc:
+                assert "no ball probability" in str(exc)
+            else:
+                assert 0.0 <= p <= 1.0
 
     def test_monte_carlo_agreement_50_random_configs(self):
         # every closed form within 3 binomial standard errors of a 1e5-sample

@@ -144,8 +144,7 @@ class TestRunCampaign:
     def _cfg(self, mode, sigma=0.25, seed=0, n_cert=400, iters=0, **opt_kw):
         cert = GaussianCertConfig(sigma=sigma, n0=50, n_cert=n_cert,
                                   alpha_fail=0.01, seed=seed)
-        opt = SigmaOptConfig(sigma0=sigma, iters_k=iters, n_samples=20,
-                             seed=seed, **opt_kw)
+        opt = SigmaOptConfig(sigma0=sigma, iters_k=iters, n_samples=20, **opt_kw)
         return CampaignConfig(mode=mode, cert=cert, opt=opt,
                               radii_grid=(0.0, 0.25, 0.5, 1.0))
 
@@ -478,7 +477,7 @@ class TestReports:
             cert = GaussianCertConfig(sigma=0.25, n0=50, n_cert=500,
                                       alpha_fail=0.01, seed=42)
             opt = SigmaOptConfig(sigma0=0.25, iters_k=10, step_alpha=0.05,
-                                 n_samples=16, seed=42)
+                                 n_samples=16)
             cfg = CampaignConfig(mode=MODE_DS, cert=cert, opt=opt,
                                  radii_grid=(0.0, 0.5),
                                  dataset_path=str(data_path),

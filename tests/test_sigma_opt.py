@@ -28,6 +28,12 @@ def ball_radius_true(sigma: float, rho: float = 1.0) -> float:
     return sigma * std_normal_quantile(clamp_probability(psi))
 
 
+def seeded_noise(cfg, dim, seed=0, lead=()):
+    """The gaussian draws the optimize-sigma command makes for --seed."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    return draw_noise(rng, cfg.n_samples, dim, lead=lead)
+
+
 def counting(c):
     """Copy of c that counts its probs and input_grads calls."""
     calls = {"probs": 0, "grads": 0}
@@ -63,15 +69,15 @@ class TestConfig:
 class TestOptimizeSigma:
     def test_zero_iterations(self):
         c = constant_classifier([0.8, 0.2], dim=2)
-        cfg = SigmaOptConfig(sigma0=0.4, iters_k=0, n_samples=10, seed=1)
-        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg)
+        cfg = SigmaOptConfig(sigma0=0.4, iters_k=0, n_samples=10)
+        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 1))
         assert sigma_star == 0.4
         assert len(trace) == 1
 
     def test_trace_length_is_k_plus_one(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        cfg = SigmaOptConfig(sigma0=0.3, iters_k=25, n_samples=50, seed=2)
-        _, trace = optimize_sigma(c, [1.0, 0.0], cfg)
+        cfg = SigmaOptConfig(sigma0=0.3, iters_k=25, n_samples=50)
+        _, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 2))
         assert len(trace) == 26
         assert [e.iteration for e in trace] == list(range(26))
 
@@ -81,7 +87,7 @@ class TestOptimizeSigma:
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
         cfg = SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=400,
                              n_samples=2000, sigma_max=2.0,
-                             grad_mode=GRAD_SCALAR_FD, seed=0)
+                             grad_mode=GRAD_SCALAR_FD)
         noise = draw_noise(np.random.default_rng(77), 2000, 2)
         sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, noise=noise)
         assert sigma_star > 1.9
@@ -116,8 +122,7 @@ class TestOptimizeSigma:
             cfg = SigmaOptConfig(sigma0=rng.uniform(0.1, 1.5),
                                  step_alpha=10 ** rng.uniform(-4, -1),
                                  iters_k=10, n_samples=20,
-                                 return_mode=RETURN_BEST_ITERATE,
-                                 seed=trial)
+                                 return_mode=RETURN_BEST_ITERATE)
             noise = draw_noise(np.random.default_rng(trial), 20, 2)
             _, trace = optimize_sigma(c, x, cfg, noise=noise)
             assert trace.best().proxy_radius >= trace[0].proxy_radius
@@ -125,9 +130,9 @@ class TestOptimizeSigma:
     def test_bit_reproducible(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
         cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=30,
-                             n_samples=40, seed=9)
-        a = optimize_sigma(c, [0.6, 0.1], cfg)
-        b = optimize_sigma(c, [0.6, 0.1], cfg)
+                             n_samples=40)
+        a = optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 9))
+        b = optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 9))
         assert a[0] == b[0]
         assert a[1].entries == b[1].entries
 
@@ -138,9 +143,8 @@ class TestOptimizeSigma:
     def test_iterates_stay_in_bounds(self, sigma0, alpha, seed):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.4)
         cfg = SigmaOptConfig(sigma0=sigma0, step_alpha=alpha, iters_k=8,
-                             n_samples=8, sigma_min=0.05, sigma_max=1.9,
-                             seed=seed)
-        _, trace = optimize_sigma(c, [0.5, -0.3], cfg)
+                             n_samples=8, sigma_min=0.05, sigma_max=1.9)
+        _, trace = optimize_sigma(c, [0.5, -0.3], cfg, seeded_noise(cfg, 2, seed))
         for e in trace:
             assert cfg.sigma_min <= e.sigma <= cfg.sigma_max
 
@@ -148,23 +152,23 @@ class TestOptimizeSigma:
     def test_one_probs_call_per_iterate(self, mode, grads):
         c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
         cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=7,
-                             n_samples=5, grad_mode=mode, seed=4)
-        optimize_sigma(c, [0.6, 0.1], cfg)
+                             n_samples=5, grad_mode=mode)
+        optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 4))
         assert calls == {"probs": 8, "grads": grads}
 
     def test_zero_iterations_analytic_on_value_only(self):
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
         cfg = SigmaOptConfig(sigma0=0.4, iters_k=0, n_samples=10,
-                             grad_mode=GRAD_ANALYTIC, seed=1)
-        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg)
+                             grad_mode=GRAD_ANALYTIC)
+        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 1))
         assert sigma_star == 0.4 and len(trace) == 1
 
     def test_faithful_returns_last_iterate(self):
         c = nested_ball_classifier(1.0, dim=2)
         cfg = SigmaOptConfig(sigma0=0.5, step_alpha=0.05, iters_k=60,
                              n_samples=500, sigma_min=0.05,
-                             return_mode=RETURN_FAITHFUL, seed=12)
-        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg)
+                             return_mode=RETURN_FAITHFUL)
+        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 12))
         assert sigma_star == trace[-1].sigma
 
 
@@ -217,14 +221,14 @@ class TestBatchedAscent:
         c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
         cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=5,
                              n_samples=3, grad_mode=mode)
-        optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg)
+        optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg, seeded_noise(cfg, 2, lead=(9,)))
         assert calls == {"probs": 6, "grads": grads}
 
     def test_non_finite_start_scale_rejected(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
         cfg = SigmaOptConfig(sigma0=0.3, iters_k=2, n_samples=3)
         with pytest.raises(ValueError):
-            optimize_sigma(c, np.zeros((4, 2)), cfg,
+            optimize_sigma(c, np.zeros((4, 2)), cfg, seeded_noise(cfg, 2, lead=(4,)),
                            sigma0=[0.3, math.nan, 0.3, 0.3])
 
 
