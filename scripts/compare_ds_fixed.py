@@ -34,14 +34,12 @@ def main() -> int:
     for seed in range(args.seeds):
         xs, ys = make_two_clusters(args.n, seed=seed)
         ds = LabeledDataset(xs, ys)
-        cert = GaussianCertConfig(sigma=args.sigma0, n0=100,
-                                  n_cert=args.n_cert, alpha_fail=0.001,
+        cert = GaussianCertConfig(n0=100, n_cert=args.n_cert, alpha_fail=0.001,
                                   seed=seed)
-        opt = SigmaOptConfig(sigma0=args.sigma0, step_alpha=0.05,
-                             iters_k=args.iters, n_samples=32)
+        opt = SigmaOptConfig(step_alpha=0.05, iters_k=args.iters, n_samples=32)
         for mode in (MODE_FIXED, MODE_DS):
-            cfg = CampaignConfig(mode=mode, cert=cert, opt=opt,
-                                 radii_grid=radii)
+            cfg = CampaignConfig(mode=mode, sigma0=args.sigma0, cert=cert,
+                                 opt=opt, radii_grid=radii)
             _, _, m = run_campaign(cfg, dataset=ds, classifier=clf)
             accs = "  ".join(f"{a:.3f}" for a in m.certified_accuracy)
             print(f"{mode:<7} {seed:<6} {m.acr:<8.4f} "

@@ -113,19 +113,21 @@ def _parse_radii(text: str | None) -> tuple[float, ...]:
 
 
 def _opt_config(args) -> SigmaOptConfig:
-    """Ascent config from the shared ascent flags; the bounds widen to hold sigma0."""
-    return SigmaOptConfig(sigma0=args.sigma0, step_alpha=args.alpha_step,
-                          iters_k=args.iters, n_samples=args.n,
-                          sigma_min=min(args.sigma_min, args.sigma0),
-                          sigma_max=max(args.sigma_max, args.sigma0),
+    """Ascent config from the shared ascent flags; the bounds widen to hold a valid sigma0."""
+    lo, hi = args.sigma_min, args.sigma_max
+    if 0 < args.sigma0 < np.inf:
+        lo, hi = min(lo, args.sigma0), max(hi, args.sigma0)
+    return SigmaOptConfig(step_alpha=args.alpha_step, iters_k=args.iters,
+                          n_samples=args.n, sigma_min=lo, sigma_max=hi,
                           grad_mode=args.grad_mode, return_mode=args.return_mode)
 
 
 def _cmd_certify(args) -> int:
     seed = _seed(args)
-    cert = GaussianCertConfig(sigma=args.sigma0, n0=args.n0, n_cert=args.n_cert,
+    cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,
                               alpha_fail=args.alpha_fail, seed=seed)
-    cfg = CampaignConfig(mode=args.mode, cert=cert, opt=_opt_config(args),
+    cfg = CampaignConfig(mode=args.mode, sigma0=args.sigma0, cert=cert,
+                         opt=_opt_config(args),
                          radii_grid=_parse_radii(args.radii),
                          dataset_path=args.dataset,
                          classifier_path=args.classifier,
@@ -144,7 +146,7 @@ def _cmd_optimize_sigma(args) -> int:
     x = np.array([float(v) for v in args.point.split(",")])
     rng = np.random.default_rng(np.random.SeedSequence([_seed(args)]))
     sigma_star, trace = optimize_sigma(c, x, _opt_config(args),
-                                       draw_noise(rng, args.n, c.dim))
+                                       draw_noise(rng, args.n, c.dim), args.sigma0)
     print("iter,sigma,proxy_radius,top_class")
     for e in trace:
         print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")
@@ -155,17 +157,16 @@ def _cmd_optimize_sigma(args) -> int:
 def _cmd_train_demo(args) -> int:
     first = _seed(args)
     results = []
-    wins = 0
     for s in range(first, first + args.seeds):
         res = run_training_demo(seed=s, n_train=args.n_train, n_test=args.n_test,
                                 warmup_epochs=args.epochs, ds_epochs=args.epochs,
                                 n_cert=args.n_cert)
         win = res["acr_ds"] > res["acr_fixed"]
-        wins += int(win)
         print(f"seed={s} acr_fixed={res['acr_fixed']:.6f} "
               f"acr_ds={res['acr_ds']:.6f} ds_wins={win}")
         results.append({"seed": s, "acr_fixed": res["acr_fixed"],
                         "acr_ds": res["acr_ds"], "ds_wins": win})
+    wins = sum(r["ds_wins"] for r in results)
     print(f"data-dependent certification won on {wins}/{args.seeds} seeds")
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:
@@ -177,7 +178,9 @@ def _cmd_train_demo(args) -> int:
 def _cmd_report(args) -> int:
     records = read_report_csv(args.in_path)
     metrics = metrics_from_records(records, checked_radii_grid(_parse_radii(args.radii)))
-    print(json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
+    payload = metrics.to_dict()
+    del payload["overlap_events"]  # the results CSV does not carry the count
+    print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 

@@ -16,7 +16,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .classifiers import ClassifierHandle
 from .memory import (NORM_L1, NORM_L2, CertifiedRegion, MemoryStore,
                      memory_insert, save_memory)
 from .sigma_opt import SigmaOptConfig, optimize_sigma
-from .smoothing import (_VOTE_BATCH, ABSTAIN, GaussianCertConfig, NoiseBatch,
-                        certify_l1, certify_l2, draw_noise, rng_for_input)
+from .smoothing import (_VOTE_BATCH, ABSTAIN, NOISE_GAUSSIAN, NOISE_UNIFORM,
+                        GaussianCertConfig, NoiseBatch, certify_l1, certify_l2,
+                        draw_noise, rng_for_input)
 
 __all__ = [
     "MODE_FIXED",
@@ -52,7 +53,8 @@ MODE_FIXED = "fixed"
 MODE_DS = "ds"
 MODE_DS_L1 = "ds_l1"
 
-_MODES = (MODE_FIXED, MODE_DS, MODE_DS_L1)
+_MODES = {MODE_FIXED: (NOISE_GAUSSIAN, NORM_L2), MODE_DS: (NOISE_GAUSSIAN, NORM_L2),
+          MODE_DS_L1: (NOISE_UNIFORM, NORM_L1)}
 
 DEFAULT_RADII = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
@@ -139,11 +141,13 @@ def checked_radii_grid(radii) -> tuple[float, ...]:
 class CampaignConfig:
     """Everything a certification campaign needs.
 
-    In ds modes ``opt.sigma0`` seeds the per-input optimization (it doubles
-    as the initial lambda for ds_l1); in fixed mode ``cert.sigma`` is the
-    scale used everywhere.
+    ``sigma0`` is the campaign's one noise scale: in fixed mode every row is
+    certified at it, in ds modes it is every row's ascent start (the initial
+    lambda for ds_l1) and must lie in [opt.sigma_min, opt.sigma_max].
+    ``cert`` is the Monte Carlo budget and ``opt`` the ascent's settings.
     """
     mode: str
+    sigma0: float
     cert: GaussianCertConfig
     opt: SigmaOptConfig
     radii_grid: tuple[float, ...] = DEFAULT_RADII
@@ -157,6 +161,11 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        lo, hi = self.opt.sigma_min, self.opt.sigma_max
+        if not 0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if self.mode != MODE_FIXED and not lo <= self.sigma0 <= hi:
+            raise ValueError(f"sigma0 {self.sigma0} lies outside [{lo}, {hi}]")
         object.__setattr__(self, "radii_grid", checked_radii_grid(self.radii_grid))
 
 
@@ -191,13 +200,13 @@ class CertRecord:
         return self.prediction == self.label
 
 
-def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig) -> np.ndarray:
+def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig,
+                   kind: str) -> np.ndarray:
     """Optimized scale of every row, one ``optimize_sigma`` call per block.
 
     An iterate scores at most three scales of n draws per row, so blocks of
     _ASCENT_POINTS // (3 n) rows keep each classifier call within that bound.
     """
-    kind = "uniform" if cfg.mode == MODE_DS_L1 else "gaussian"
     n = cfg.opt.n_samples
     block = max(1, _ASCENT_POINTS // (3 * n))
     scales = np.empty(len(dataset))
@@ -207,7 +216,7 @@ def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig) -> np.ndarra
             draw_noise(rng_for_input(cfg.cert.seed, i, _STREAM_OPT), n, c.dim,
                        kind).draws for i in rows]))
         scales[start:rows.stop], _ = optimize_sigma(
-            c, dataset.points[start:rows.stop], cfg.opt, noise=noise)
+            c, dataset.points[start:rows.stop], cfg.opt, noise, cfg.sigma0)
     return scales
 
 
@@ -253,22 +262,20 @@ def run_campaign(cfg: CampaignConfig,
     if bad.size:
         raise ValueError(f"row {bad[0]}: label {dataset.labels[bad[0]]} is not a "
                          f"class of the {classifier.num_classes}-class classifier")
+    kind, norm = _MODES[cfg.mode]
     if cfg.mode != MODE_FIXED and len(memory) and len(dataset):
-        norm = NORM_L1 if cfg.mode == MODE_DS_L1 else NORM_L2
         if (memory.norm, memory.dim) != (norm, dataset.dim):
             raise ValueError(
                 f"memory mismatch: mode {cfg.mode} needs {norm} regions of dim {dataset.dim}, "
                 f"the memory holds {memory.norm} regions of dim {memory.dim}")
 
-    scales = ([cfg.cert.sigma] * len(dataset) if cfg.mode == MODE_FIXED
-              else _ascent_scales(classifier, dataset, cfg).tolist())
+    scales = ([cfg.sigma0] * len(dataset) if cfg.mode == MODE_FIXED
+              else _ascent_scales(classifier, dataset, cfg, kind).tolist())
+    certify = certify_l1 if kind == NOISE_UNIFORM else certify_l2
 
     def certify_row(i):
-        rng = rng_for_input(cfg.cert.seed, i, _STREAM_CERT)
-        if cfg.mode == MODE_DS_L1:
-            return certify_l1(classifier, dataset.points[i], scales[i], cfg.cert, rng=rng)
-        return certify_l2(classifier, dataset.points[i],
-                          replace(cfg.cert, sigma=scales[i]), rng=rng)
+        return certify(classifier, dataset.points[i], scales[i], cfg.cert,
+                       rng=rng_for_input(cfg.cert.seed, i, _STREAM_CERT))
 
     with ThreadPoolExecutor(min(_cpu_count(), _ASCENT_POINTS // _VOTE_BATCH)) as pool:
         mapper = map if cfg.cert.n_cert < _POOL_MIN_VOTES else pool.map
@@ -279,7 +286,7 @@ def run_campaign(cfg: CampaignConfig,
         if cfg.mode != MODE_FIXED and not out.abstained:
             region = CertifiedRegion(center=tuple(x), radius=out.radius,
                                      prediction=out.prediction, sigma_used=scale,
-                                     norm=out.norm)
+                                     norm=norm)
             prediction, final_region, adjusted = memory_insert(memory, region)
             radius = final_region.radius
         records.append(CertRecord(idx=i, label=int(dataset.labels[i]),
@@ -300,10 +307,8 @@ def run_campaign(cfg: CampaignConfig,
 def _config_echo(cfg: CampaignConfig) -> dict:
     return {
         "mode": cfg.mode,
-        "cert": {"sigma": cfg.cert.sigma, "n0": cfg.cert.n0,
-                 "n_cert": cfg.cert.n_cert, "alpha_fail": cfg.cert.alpha_fail,
-                 "seed": cfg.cert.seed},
-        "opt": {"sigma0": cfg.opt.sigma0, "step_alpha": cfg.opt.step_alpha,
+        "cert": {**asdict(cfg.cert), "sigma": cfg.sigma0},
+        "opt": {"sigma0": cfg.sigma0, "step_alpha": cfg.opt.step_alpha,
                 "iters_k": cfg.opt.iters_k, "n_samples": cfg.opt.n_samples,
                 "sigma_min": cfg.opt.sigma_min, "sigma_max": cfg.opt.sigma_max,
                 "grad_mode": cfg.opt.grad_mode, "return_mode": cfg.opt.return_mode},
@@ -320,13 +325,9 @@ def _config_echo(cfg: CampaignConfig) -> dict:
 def certified_accuracy_curve(records: list[CertRecord],
                              radii: tuple[float, ...]) -> tuple[float, ...]:
     """Fraction of inputs correct AND certified at radius >= r, per grid radius."""
-    if not records:
-        return tuple(0.0 for _ in radii)
-    vals = []
-    for r in radii:
-        ok = sum(1 for rec in records if rec.correct and rec.radius >= r)
-        vals.append(ok / len(records))
-    return tuple(vals)
+    n = max(len(records), 1)  # an empty result set scores 0 at every radius
+    return tuple(sum(rec.correct and rec.radius >= r for rec in records) / n
+                 for r in radii)
 
 
 def average_certified_radius(records: list[CertRecord]) -> float:
@@ -341,15 +342,11 @@ def average_certified_radius(records: list[CertRecord]) -> float:
 def metrics_from_records(records: list[CertRecord], radii: tuple[float, ...],
                          overlap_events: int = 0) -> MetricsSummary:
     n = len(records)
-    abstain = sum(1 for rec in records if rec.prediction == ABSTAIN)
+    abstain = sum(rec.prediction == ABSTAIN for rec in records)
     return MetricsSummary(
-        radii=tuple(radii),
-        certified_accuracy=certified_accuracy_curve(records, radii),
+        radii=tuple(radii), certified_accuracy=certified_accuracy_curve(records, radii),
         acr=average_certified_radius(records) if n else 0.0,
-        abstain_rate=(abstain / n) if n else 0.0,
-        overlap_events=overlap_events,
-        n_inputs=n,
-    )
+        abstain_rate=abstain / max(n, 1), overlap_events=overlap_events, n_inputs=n)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +388,7 @@ def train_batch(c: ClassifierHandle, points: np.ndarray, labels: np.ndarray,
         raise ValueError(f"classifier kind={c.kind!r} is not trainable")
     points = np.asarray(points, dtype=float)
     noise = draw_noise(rng, opt_cfg.n_samples, c.dim, lead=(len(points),))
-    stars, _ = optimize_sigma(c, points, opt_cfg, noise=noise, sigma0=sigmas)
+    stars, _ = optimize_sigma(c, points, opt_cfg, noise, sigmas)
     trainer(c, points, labels, stars, rng)
     return stars
 
@@ -418,11 +415,12 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
     trainer = GaussianAugmentationTrainer(lr=0.5, n_aug=4)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 8]))
 
-    base_opt = SigmaOptConfig(sigma0=0.25, step_alpha=0.02, iters_k=0,
-                              n_samples=16, sigma_min=0.05, sigma_max=2.0,
+    sigma0 = 0.25
+    base_opt = SigmaOptConfig(step_alpha=0.02, iters_k=0, n_samples=16,
+                              sigma_min=0.05, sigma_max=2.0,
                               grad_mode="scalar_fd", fd_step=0.05)
     ds_opt = replace(base_opt, iters_k=1)
-    sigmas = np.full(n_train, base_opt.sigma0)
+    sigmas = np.full(n_train, sigma0)
     for epoch in range(warmup_epochs + ds_epochs):
         opt_cfg = base_opt if epoch < warmup_epochs else ds_opt
         order = rng.permutation(n_train)
@@ -432,15 +430,14 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
                                       opt_cfg, trainer, rng)
 
     test_set = LabeledDataset(xt, yt)
-    cert = GaussianCertConfig(sigma=base_opt.sigma0, n0=100, n_cert=n_cert,
-                              alpha_fail=0.001, seed=seed)
+    cert = GaussianCertConfig(n0=100, n_cert=n_cert, alpha_fail=0.001, seed=seed)
     cert_opt = replace(base_opt, iters_k=100, n_samples=32,
                        return_mode="best_iterate")
     _, _, m_fixed = run_campaign(
-        CampaignConfig(mode=MODE_FIXED, cert=cert, opt=cert_opt),
+        CampaignConfig(mode=MODE_FIXED, sigma0=sigma0, cert=cert, opt=cert_opt),
         dataset=test_set, classifier=c)
     _, _, m_ds = run_campaign(
-        CampaignConfig(mode=MODE_DS, cert=cert, opt=cert_opt),
+        CampaignConfig(mode=MODE_DS, sigma0=sigma0, cert=cert, opt=cert_opt),
         dataset=test_set, classifier=c)
     return {"seed": int(seed), "acr_fixed": m_fixed.acr, "acr_ds": m_ds.acr,
             "metrics_fixed": m_fixed, "metrics_ds": m_ds,
@@ -472,7 +469,8 @@ def emit_report(records: list[CertRecord], metrics: MetricsSummary, csv_path,
 
 
 def read_report_csv(path) -> list[CertRecord]:
-    """Parse a report CSV back into records (for metric recomputation)."""
+    """Parse a report CSV back into records (for metric recomputation); a
+    row that ``emit_report`` could not have written is named by path and line."""
     records: list[CertRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -485,13 +483,26 @@ def read_report_csv(path) -> list[CertRecord]:
             if len(row) != len(REPORT_HEADER):
                 raise ValueError(f"{path}: line {lineno}: expected "
                                  f"{len(REPORT_HEADER)} fields")
-            pred = ABSTAIN if row[2] == "ABSTAIN" else int(row[2])
-            radius, sigma_star, p_lower = map(float, row[4:7])
-            if not all(map(math.isfinite, (radius, sigma_star, p_lower))):
-                raise ValueError(f"{path}: line {lineno}: radius, sigma_star and "
-                                 "p_lower must be finite")
-            records.append(CertRecord(idx=int(row[0]), label=int(row[1]),
+            try:
+                idx, label = int(row[0]), int(row[1])
+                pred = ABSTAIN if row[2] == "ABSTAIN" else int(row[2])
+                radius, sigma_star, p_lower = map(float, row[4:7])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            for ok, message in (
+                    (label >= 0 and (pred >= 0 or row[2] == "ABSTAIN"),
+                     "label and prediction must be class indices"),
+                    (row[3] == str(int(pred == label)),
+                     "correct must be 1 exactly when prediction equals label"),
+                    (0.0 <= radius < math.inf, "radius must be finite and >= 0"),
+                    (pred != ABSTAIN or radius == 0.0, "an ABSTAIN row must carry radius 0"),
+                    (0.0 < sigma_star < math.inf, "sigma_star must be positive and finite"),
+                    (0.0 <= p_lower <= 1.0, "p_lower must lie in [0, 1]"),
+                    (row[7] in ("0", "1"), "adjusted_by_memory must be 0 or 1")):
+                if not ok:
+                    raise ValueError(f"{path}: line {lineno}: {message}")
+            records.append(CertRecord(idx=idx, label=label,
                                       prediction=pred, radius=radius,
                                       p_lower=p_lower, sigma_star=sigma_star,
-                                      adjusted=bool(int(row[7]))))
+                                      adjusted=row[7] == "1"))
     return records

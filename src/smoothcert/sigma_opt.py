@@ -49,11 +49,10 @@ class SigmaOptConfig:
 
     ``faithful`` return mode hands back the final iterate; ``best_iterate``
     returns the trace argmax, which is guaranteed not to fall below the
-    starting radius under the shared noise batch. ``sigma0`` is the start
-    scale unless ``optimize_sigma`` gets one per input. The noise comes from
-    the caller; campaigns draw row idx's from ``rng_for_input(cert.seed, idx, 1)``.
+    starting radius under the shared noise batch. The start scale and the
+    noise are ``optimize_sigma`` arguments: a campaign starts each row at its
+    ``sigma0``, with row idx's draws from ``rng_for_input(cert.seed, idx, 1)``.
     """
-    sigma0: float
     step_alpha: float = 1e-4
     iters_k: int = 100
     n_samples: int = 1
@@ -64,18 +63,12 @@ class SigmaOptConfig:
     fd_step: float = 1e-3
 
     def __post_init__(self):
-        floats = (self.sigma0, self.step_alpha, self.sigma_min, self.sigma_max,
-                  self.fd_step)
-        if not np.all(np.isfinite(floats)):
-            raise ValueError(
-                "sigma0, step_alpha, sigma_min, sigma_max and fd_step must be "
-                f"finite, got {floats}")
-        if not 0 < self.sigma_min <= self.sigma0 <= self.sigma_max:
-            raise ValueError(
-                f"need 0 < sigma_min <= sigma0 <= sigma_max, got "
-                f"({self.sigma_min}, {self.sigma0}, {self.sigma_max})")
-        if self.step_alpha <= 0:
-            raise ValueError(f"step_alpha must be positive, got {self.step_alpha}")
+        if not (0 < self.step_alpha < np.inf and 0 < self.fd_step < np.inf):
+            raise ValueError("step_alpha and fd_step must be positive and finite, "
+                             f"got {self.step_alpha} and {self.fd_step}")
+        if not 0 < self.sigma_min <= self.sigma_max < np.inf:
+            raise ValueError("need finite bounds 0 < sigma_min <= sigma_max, got "
+                             f"({self.sigma_min}, {self.sigma_max})")
         if self.iters_k < 0:
             raise ValueError(f"iters_k must be >= 0, got {self.iters_k}")
         if self.n_samples < 1:
@@ -84,8 +77,6 @@ class SigmaOptConfig:
             raise ValueError(f"unknown grad mode {self.grad_mode!r}")
         if self.return_mode not in (RETURN_FAITHFUL, RETURN_BEST_ITERATE):
             raise ValueError(f"unknown return mode {self.return_mode!r}")
-        if self.fd_step <= 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
 @dataclass(frozen=True)
@@ -183,21 +174,23 @@ def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
 
 
 def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
-                   noise: NoiseBatch, sigma0=None):
+                   noise: NoiseBatch, sigma0):
     """K steps of projected gradient ascent on the plug-in radius.
 
     ``x`` is one point (d,) with noise draws (n, d), or a batch (B, d) with
     draws (B, n, d). The draws are shared by every iterate (they do not depend
-    on the scale). Each input starts at its entry of ``sigma0`` (default
-    ``cfg.sigma0``) and every iterate is projected onto [sigma_min,
-    sigma_max]; the trace shows top-class flips, and the norm follows the
-    noise kind. Each iterate makes one classifier call for the whole batch,
-    plus one gradient call in analytic mode. Returns (sigma_star, trace), or
-    for a batch a (B,) array of scales and a list of traces.
+    on the scale). Each input starts at its entry of ``sigma0`` (a scalar
+    serves every input), which must be positive and finite; the start and
+    every iterate are projected onto [sigma_min, sigma_max]. The trace shows
+    top-class flips, and the norm follows the noise kind. Each iterate makes
+    one classifier call for the batch, plus one gradient call in analytic
+    mode. Returns (sigma_star, trace), or for a batch (B,) scales and traces.
     """
     x = np.asarray(x, dtype=float)
-    start = cfg.sigma0 if sigma0 is None else sigma0
-    sigma = np.clip(np.broadcast_to(start, x.shape[:-1]), cfg.sigma_min, cfg.sigma_max)
+    start = np.broadcast_to(np.asarray(sigma0, dtype=float), x.shape[:-1])
+    if not np.all((start > 0) & (start < np.inf)):
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+    sigma = np.clip(start, cfg.sigma_min, cfg.sigma_max)
     steps = []
     for k in range(cfg.iters_k + 1):
         r, top, g = _score(c, x, sigma, noise, cfg.grad_mode, cfg.fd_step,

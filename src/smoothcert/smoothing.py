@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierHandle, as_point
-from .memory import NORM_L1, NORM_L2
 from .stats import binom_lower_confidence, clamp_probability, std_normal_quantile
 
 __all__ = [
@@ -46,21 +45,18 @@ NOISE_UNIFORM = "uniform"
 
 @dataclass(frozen=True)
 class GaussianCertConfig:
-    """Monte Carlo certification budget.
+    """Monte Carlo certification budget, for either noise kind.
 
     ``n0`` selection samples pick the candidate class, ``n_cert`` estimation
     samples bound its probability, and the whole procedure is allowed to be
-    wrong with probability at most ``alpha_fail``.
+    wrong with probability at most ``alpha_fail``. The scale is an argument.
     """
-    sigma: float
     n0: int = 100
     n_cert: int = 100_000
     alpha_fail: float = 0.001
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.n_cert < self.n0:
@@ -75,8 +71,6 @@ class CertificationOutcome:
     prediction: int
     radius: float
     p_lower: float
-    sigma_used: float
-    norm: str
     samples_used: int
 
     def __post_init__(self):
@@ -152,26 +146,26 @@ def _top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, np.argmax(rest, axis=-1)
 
 
-def _certify(c, x, scale, cfg, kind, norm, rng) -> CertificationOutcome:
-    if rng is None:
-        rng = rng_for_input(cfg.seed, 0)
+def _certify(c, x, scale, cfg, kind, rng) -> CertificationOutcome:
+    if not 0 < scale < np.inf:
+        name = "lambda" if kind == NOISE_UNIFORM else "sigma"
+        raise ValueError(f"{name} must be positive and finite, got {scale}")
+    scale = float(scale)
+    rng = rng_for_input(cfg.seed, 0) if rng is None else rng
     counts0 = vote_counts(c, x, scale, cfg.n0, rng, kind)
     candidate = int(np.argmax(counts0))
     counts = vote_counts(c, x, scale, cfg.n_cert, rng, kind)
     p_lower = binom_lower_confidence(int(counts[candidate]), cfg.n_cert, cfg.alpha_fail)
     samples = cfg.n0 + cfg.n_cert
     if p_lower <= 0.5:
-        return CertificationOutcome(ABSTAIN, 0.0, p_lower, scale, norm, samples)
+        return CertificationOutcome(ABSTAIN, 0.0, p_lower, samples)
     p_safe = clamp_probability(p_lower)
-    if norm == NORM_L2:
-        radius = scale * std_normal_quantile(p_safe)
-    else:
-        radius = scale * (2.0 * p_safe - 1.0)
-    return CertificationOutcome(candidate, float(max(0.0, radius)), p_lower,
-                                scale, norm, samples)
+    radius = scale * (2.0 * p_safe - 1.0 if kind == NOISE_UNIFORM
+                      else std_normal_quantile(p_safe))
+    return CertificationOutcome(candidate, float(max(0.0, radius)), p_lower, samples)
 
 
-def certify_l2(c: ClassifierHandle, x, cfg: GaussianCertConfig,
+def certify_l2(c: ClassifierHandle, x, sigma: float, cfg: GaussianCertConfig,
                rng: np.random.Generator | None = None) -> CertificationOutcome:
     """Sound L2 certification of the Gaussian-smoothed classifier at x.
 
@@ -181,7 +175,7 @@ def certify_l2(c: ClassifierHandle, x, cfg: GaussianCertConfig,
     p_lower on the candidate class probability yields radius
     sigma * Phi^{-1}(p_lower), abstaining whenever p_lower <= 1/2.
     """
-    return _certify(c, x, cfg.sigma, cfg, NOISE_GAUSSIAN, NORM_L2, rng)
+    return _certify(c, x, sigma, cfg, NOISE_GAUSSIAN, rng)
 
 
 def certify_l1(c: ClassifierHandle, x, lam: float, cfg: GaussianCertConfig,
@@ -191,9 +185,7 @@ def certify_l1(c: ClassifierHandle, x, lam: float, cfg: GaussianCertConfig,
     Bounds the runner-up probability by 1 - p_lower, giving radius
     lam * (2 * p_lower - 1), floored at zero with an abstention.
     """
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    return _certify(c, x, float(lam), cfg, NOISE_UNIFORM, NORM_L1, rng)
+    return _certify(c, x, lam, cfg, NOISE_UNIFORM, rng)
 
 
 def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):

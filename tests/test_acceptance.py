@@ -88,12 +88,12 @@ def test_03_optimizer_vs_grid_oracle():
     grid = np.linspace(0.05, 2.0, 4000)
     r_star = max(r_true(float(sg)) for sg in grid)
     c = nested_ball_classifier(1.0, dim=2)
-    cfg = SigmaOptConfig(sigma0=0.5, step_alpha=0.01, iters_k=500,
+    cfg = SigmaOptConfig(step_alpha=0.01, iters_k=500,
                          n_samples=10_000, sigma_min=0.05, sigma_max=2.0,
                          grad_mode=GRAD_SCALAR_FD,
                          return_mode=RETURN_BEST_ITERATE, fd_step=1e-3)
     noise = draw_noise(np.random.default_rng(1234), 10_000, 2)
-    _, trace = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise)
+    _, trace = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise, sigma0=0.5)
     best_r = trace.best().proxy_radius
     faithful_r = trace[-1].proxy_radius
     assert best_r >= 0.90 * r_star, f"best {best_r} vs oracle {r_star}"
@@ -121,12 +121,12 @@ def test_04_worst_case_guarantee():
         else:
             c = nested_ball_classifier(rng.uniform(0.5, 2.0), dim=2)
         x = rng.normal(size=2)
-        cfg = SigmaOptConfig(sigma0=rng.uniform(0.05, 1.8),
-                             step_alpha=10 ** rng.uniform(-4, -1),
+        sigma0 = rng.uniform(0.05, 1.8)
+        cfg = SigmaOptConfig(step_alpha=10 ** rng.uniform(-4, -1),
                              iters_k=5, n_samples=16, sigma_min=0.05,
                              return_mode=RETURN_BEST_ITERATE, fd_step=0.01)
         noise = draw_noise(np.random.default_rng(trial), 16, 2)
-        _, trace = optimize_sigma(c, x, cfg, noise=noise)
+        _, trace = optimize_sigma(c, x, cfg, noise=noise, sigma0=sigma0)
         if trace.best().proxy_radius < trace[0].proxy_radius:
             violations += 1
     assert violations == 0
@@ -141,9 +141,9 @@ def test_05_certification_soundness():
     x = [1.0, 0.0]  # true robust radius = margin = 1
     failures = 0
     for seed in range(1000):
-        cfg = GaussianCertConfig(sigma=0.25, n0=100, n_cert=100_000,
+        cfg = GaussianCertConfig(n0=100, n_cert=100_000,
                                  alpha_fail=0.001, seed=seed)
-        out = certify_l2(c, x, cfg)
+        out = certify_l2(c, x, 0.25, cfg)
         if out.radius > 1.0:
             failures += 1
     assert failures <= 1, f"{failures} unsound certificates"
@@ -283,7 +283,7 @@ def test_09_l1_certificate():
         p_hat = counts[1] / n_cert
         se = math.sqrt(p_true * (1.0 - p_true) / n_cert)
         assert abs(p_hat - p_true) <= 3.0 * se, f"trial {trial}"
-        cfg = GaussianCertConfig(sigma=1.0, n0=100, n_cert=n_cert,
+        cfg = GaussianCertConfig(n0=100, n_cert=n_cert,
                                  alpha_fail=0.001, seed=trial)
         out = certify_l1(c, x, lam, cfg)
         if out.p_lower > 0.5:

@@ -27,6 +27,13 @@ def workspace(tmp_path):
     return tmp_path, data, clf
 
 
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(smoothcert.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def certify_args(data, clf, out, extra=()):
     return ["certify", "--mode", "ds", "--sigma0", "0.25",
             "--alpha-step", "1e-4", "--iters", "100", "--n", "1",
@@ -173,6 +180,10 @@ class TestCertify:
         assert metrics["metrics"]["n_inputs"] == 8
 
 
+REPORT_HEADER = ("idx,label,prediction,correct,radius,sigma_star,p_lower,"
+                 "adjusted_by_memory\n")
+
+
 class TestReport:
     def test_recomputed_acr_matches_campaign_json(self, workspace, capsys):
         tmp, data, clf = workspace
@@ -190,14 +201,54 @@ class TestReport:
 
     def test_non_finite_row_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
-        path.write_text("idx,label,prediction,correct,radius,sigma_star,p_lower,"
-                        "adjusted_by_memory\n"
+        path.write_text(REPORT_HEADER +
                         "0,1,1,1,0.5,0.25,0.99,0\n"
                         "1,0,0,1,nan,0.25,0.99,0\n")
         assert cli_main(["report", "--in", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 3" in captured.err and "finite" in captured.err
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,1,1,1,-5.0,0.25,0.99,0", "radius must be finite and >= 0"),
+        ("1,1,ABSTAIN,0,3.0,0.25,0.4,0", "an ABSTAIN row must carry radius 0"),
+        ("1,1,1,1,0.5,-0.25,0.99,0", "sigma_star must be positive and finite"),
+        ("1,1,1,1,0.5,0.25,7.5,0", "p_lower must lie in [0, 1]"),
+        ("1,-3,1,0,0.5,0.25,0.99,0", "label and prediction must be class indices"),
+        ("1,1,-3,0,0.5,0.25,0.99,0", "label and prediction must be class indices"),
+        ("1,1,1,0,0.5,0.25,0.99,0", "correct must be 1 exactly when"),
+        ("1,1,1,1,0.5,0.25,0.99,2", "adjusted_by_memory must be 0 or 1"),
+        ("1,one,1,1,0.5,0.25,0.99,0", "invalid literal for int()"),
+    ], ids=["negative_radius", "abstain_with_radius", "negative_sigma_star",
+            "p_lower_above_one", "negative_label", "negative_prediction",
+            "correct_mismatch", "adjusted_not_a_flag", "label_not_an_integer"])
+    def test_row_certify_cannot_write_is_runtime_error(self, tmp_path, capsys,
+                                                        row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(REPORT_HEADER + "0,1,1,1,0.5,0.25,0.99,0\n" + row + "\n")
+        assert cli_main(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: line 3: {message}" in captured.err
+
+    def test_overlap_events_left_out(self, workspace, capsys):
+        # the flipped classifier re-predicts every stored center, so every
+        # region of the second campaign overlaps a differently-predicted one
+        tmp, data, clf = workspace
+        flipped = tmp / "flipped.json"
+        save_classifier(probit_halfspace_classifier([-1.0, 0.0], 0.0, 0.5), flipped)
+        mem, out = tmp / "m.jsonl", tmp / "r.csv"
+        assert cli_main(certify_args(data, clf, tmp / "a.csv",
+                                     ["--memory-out", str(mem)])) == 0
+        assert cli_main(certify_args(data, flipped, out,
+                                     ["--memory-in", str(mem)])) == 0
+        campaign = json.loads((tmp / "r.csv.metrics.json").read_text())["metrics"]
+        assert campaign["overlap_events"] > 0
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out)]) == 0
+        recomputed = json.loads(capsys.readouterr().out)
+        del campaign["overlap_events"]
+        assert recomputed == campaign
 
     def test_non_finite_radii_grid_is_runtime_error(self, workspace, capsys):
         tmp, data, clf = workspace
@@ -236,15 +287,28 @@ class TestTrainDemo:
         assert "acr_fixed" in text and "acr_ds" in text
 
 
+def test_python_dash_m_runs_cli_main(workspace, capsys):
+    tmp, data, clf = workspace
+    out = tmp / "r.csv"
+    assert cli_main(certify_args(data, clf, out, ["--seed", "5"])) == 0
+    capsys.readouterr()
+    assert cli_main(["report", "--in", str(out)]) == 0
+    expected = capsys.readouterr().out
+    ok = subprocess.run([sys.executable, "-m", "smoothcert", "report", "--in", str(out)],
+                        env=src_env(), capture_output=True, text=True)
+    assert (ok.returncode, ok.stdout) == (0, expected)
+    usage = subprocess.run([sys.executable, "-m", "smoothcert", "report"],
+                           env=src_env(), capture_output=True, text=True)
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert "--in" in usage.stderr
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats costs about a second of start-up and scipy.spatial about
     # half a second; only scipy.special is used (the memory screen is numpy)
-    src = str(Path(smoothcert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, smoothcert.cli; "
          "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])"],
-        env=env, capture_output=True, text=True, check=True)
+        env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

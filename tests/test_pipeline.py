@@ -142,10 +142,9 @@ class TestMetrics:
 
 class TestRunCampaign:
     def _cfg(self, mode, sigma=0.25, seed=0, n_cert=400, iters=0, **opt_kw):
-        cert = GaussianCertConfig(sigma=sigma, n0=50, n_cert=n_cert,
-                                  alpha_fail=0.01, seed=seed)
-        opt = SigmaOptConfig(sigma0=sigma, iters_k=iters, n_samples=20, **opt_kw)
-        return CampaignConfig(mode=mode, cert=cert, opt=opt,
+        cert = GaussianCertConfig(n0=50, n_cert=n_cert, alpha_fail=0.01, seed=seed)
+        opt = SigmaOptConfig(iters_k=iters, n_samples=20, **opt_kw)
+        return CampaignConfig(mode=mode, sigma0=sigma, cert=cert, opt=opt,
                               radii_grid=(0.0, 0.25, 0.5, 1.0))
 
     @pytest.mark.parametrize("grid", [(0.0, math.nan), (0.0, math.nan, 1.0),
@@ -153,8 +152,29 @@ class TestRunCampaign:
     def test_non_finite_radii_rejected(self, grid):
         cfg = self._cfg(MODE_FIXED)
         with pytest.raises(ValueError, match="finite"):
-            CampaignConfig(mode=cfg.mode, cert=cfg.cert, opt=cfg.opt,
-                           radii_grid=grid)
+            CampaignConfig(mode=cfg.mode, sigma0=cfg.sigma0, cert=cfg.cert,
+                           opt=cfg.opt, radii_grid=grid)
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_DS, MODE_DS_L1])
+    @pytest.mark.parametrize("sigma0", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_sigma0_rejected(self, sigma0, mode):
+        cfg = self._cfg(mode)
+        with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+            CampaignConfig(mode=mode, sigma0=sigma0, cert=cfg.cert, opt=cfg.opt)
+
+    @pytest.mark.parametrize("mode", [MODE_DS, MODE_DS_L1])
+    def test_sigma0_outside_the_ascent_bounds_rejected_in_ds_modes(self, mode):
+        cfg = self._cfg(mode, sigma_max=2.0)
+        with pytest.raises(ValueError, match="outside"):
+            CampaignConfig(mode=mode, sigma0=3.0, cert=cfg.cert, opt=cfg.opt)
+        with pytest.raises(ValueError, match="outside"):
+            CampaignConfig(mode=mode, sigma0=1e-4, cert=cfg.cert, opt=cfg.opt)
+
+    def test_fixed_mode_ignores_the_ascent_bounds(self):
+        ds, c = probit_setup(n=4, seed=3)
+        cfg = self._cfg(MODE_FIXED, sigma=3.0, sigma_max=2.0)
+        records, _, _ = run_campaign(cfg, dataset=ds, classifier=c)
+        assert [r.sigma_star for r in records] == [3.0] * 4
 
     def test_empty_dataset(self):
         ds = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -187,8 +207,8 @@ class TestRunCampaign:
 
         monkeypatch.setattr(pipeline, "optimize_sigma", counted)
         cfg = CampaignConfig(
-            mode=MODE_DS, cert=GaussianCertConfig(sigma=0.25, n0=10, n_cert=50),
-            opt=SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=3,
+            mode=MODE_DS, sigma0=0.25, cert=GaussianCertConfig(n0=10, n_cert=50),
+            opt=SigmaOptConfig(step_alpha=0.05, iters_k=3,
                                n_samples=4096))
         records, store, _ = run_campaign(cfg, dataset=ds, classifier=c)
         assert ascents == [5, 5, 2]
@@ -278,14 +298,12 @@ class TestThreadedCampaign:
     LIGHT = pipeline._POOL_MIN_VOTES - 1  # the most votes certified without threads
 
     def _cfg(self, mode, tmp_path=None, n_cert=20_000):
-        cert = GaussianCertConfig(sigma=0.25, n0=50, n_cert=n_cert,
-                                  alpha_fail=0.01, seed=13)
-        opt = SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=5,
-                             n_samples=16)
+        cert = GaussianCertConfig(n0=50, n_cert=n_cert, alpha_fail=0.01, seed=13)
+        opt = SigmaOptConfig(step_alpha=0.05, iters_k=5, n_samples=16)
         out = {} if tmp_path is None else dict(
             memory_out=str(tmp_path / "m.jsonl"), report_csv=str(tmp_path / "r.csv"),
             report_json=str(tmp_path / "r.json"))
-        return CampaignConfig(mode=mode, cert=cert, opt=opt,
+        return CampaignConfig(mode=mode, sigma0=0.25, cert=cert, opt=opt,
                               radii_grid=(0.0, 0.25, 0.5), **out)
 
     @pytest.mark.parametrize("rows", [5, 13])
@@ -396,7 +414,7 @@ class TestTrainBatch:
         c = self._trainable()
         xs, ys = make_two_clusters(12, seed=1)
         sigmas = np.full(12, 0.3)
-        cfg = SigmaOptConfig(sigma0=0.3, iters_k=0, n_samples=8)
+        cfg = SigmaOptConfig(iters_k=0, n_samples=8)
         out = train_batch(c, xs, ys, sigmas, cfg,
                           GaussianAugmentationTrainer(lr=0.1),
                           np.random.default_rng(0))
@@ -410,7 +428,7 @@ class TestTrainBatch:
         def counting_trainer(clf, bx, by, sig, rng):
             calls.append(len(bx))
 
-        cfg = SigmaOptConfig(sigma0=0.25, iters_k=2, n_samples=8)
+        cfg = SigmaOptConfig(iters_k=2, n_samples=8)
         train_batch(c, xs, ys, np.full(9, 0.25), cfg, counting_trainer,
                     np.random.default_rng(0))
         assert calls == [9]
@@ -418,9 +436,8 @@ class TestTrainBatch:
     def test_carried_sigmas_stay_confined(self):
         c = self._trainable(seed=5)
         xs, ys = make_annuli(30, seed=3)
-        cfg = SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=1,
-                             n_samples=8, sigma_min=0.05, sigma_max=2.0,
-                             fd_step=0.05)
+        cfg = SigmaOptConfig(step_alpha=0.05, iters_k=1, n_samples=8,
+                             sigma_min=0.05, sigma_max=2.0, fd_step=0.05)
         trainer = GaussianAugmentationTrainer(lr=0.2)
         rng = np.random.default_rng(4)
         sigmas = np.full(30, 0.25)
@@ -431,7 +448,7 @@ class TestTrainBatch:
 
     def test_requires_trainable(self):
         c = constant_classifier([0.5, 0.5], dim=2)
-        cfg = SigmaOptConfig(sigma0=0.25, iters_k=0, n_samples=4)
+        cfg = SigmaOptConfig(iters_k=0, n_samples=4)
         with pytest.raises(ValueError):
             train_batch(c, np.zeros((2, 2)), np.zeros(2, dtype=int),
                         np.full(2, 0.25), cfg,
@@ -474,11 +491,9 @@ class TestReports:
         save_dataset_csv(ds.points, ds.labels, data_path)
         outs = []
         for name in ("a", "b"):
-            cert = GaussianCertConfig(sigma=0.25, n0=50, n_cert=500,
-                                      alpha_fail=0.01, seed=42)
-            opt = SigmaOptConfig(sigma0=0.25, iters_k=10, step_alpha=0.05,
-                                 n_samples=16)
-            cfg = CampaignConfig(mode=MODE_DS, cert=cert, opt=opt,
+            cert = GaussianCertConfig(n0=50, n_cert=500, alpha_fail=0.01, seed=42)
+            opt = SigmaOptConfig(iters_k=10, step_alpha=0.05, n_samples=16)
+            cfg = CampaignConfig(mode=MODE_DS, sigma0=0.25, cert=cert, opt=opt,
                                  radii_grid=(0.0, 0.5),
                                  dataset_path=str(data_path),
                                  report_csv=str(tmp_path / f"{name}.csv"),

@@ -1,7 +1,6 @@
 """Scale-ascent optimizer against closed-form and grid-scan oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,32 +51,33 @@ def counting(c):
 class TestConfig:
     def test_bounds_ordering_enforced(self):
         with pytest.raises(ValueError):
-            SigmaOptConfig(sigma0=0.25, sigma_min=0.5, sigma_max=2.0)
+            SigmaOptConfig(sigma_min=0.5, sigma_max=0.25)
         with pytest.raises(ValueError):
-            SigmaOptConfig(sigma0=3.0, sigma_max=2.0)
+            SigmaOptConfig(sigma_min=0.0)
         with pytest.raises(ValueError):
-            SigmaOptConfig(sigma0=0.25, grad_mode="newton")
+            SigmaOptConfig(grad_mode="newton")
 
-    @pytest.mark.parametrize("field", ["sigma0", "step_alpha", "sigma_min",
-                                       "sigma_max", "fd_step"])
+    @pytest.mark.parametrize("field", ["step_alpha", "sigma_min", "sigma_max",
+                                       "fd_step"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_floats_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            SigmaOptConfig(**{"sigma0": 0.25, field: value})
+            SigmaOptConfig(**{field: value})
 
 
 class TestOptimizeSigma:
     def test_zero_iterations(self):
         c = constant_classifier([0.8, 0.2], dim=2)
-        cfg = SigmaOptConfig(sigma0=0.4, iters_k=0, n_samples=10)
-        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 1))
+        cfg = SigmaOptConfig(iters_k=0, n_samples=10)
+        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 1),
+                                           0.4)
         assert sigma_star == 0.4
         assert len(trace) == 1
 
     def test_trace_length_is_k_plus_one(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        cfg = SigmaOptConfig(sigma0=0.3, iters_k=25, n_samples=50)
-        _, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 2))
+        cfg = SigmaOptConfig(iters_k=25, n_samples=50)
+        _, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 2), 0.3)
         assert len(trace) == 26
         assert [e.iteration for e in trace] == list(range(26))
 
@@ -85,11 +85,11 @@ class TestOptimizeSigma:
         # R(sigma) = sigma / sqrt(s^2 + sigma^2) increases toward sigma_max;
         # R(2) = 2/sqrt(4.25) = 0.970 far above R(0.25) = 0.447
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        cfg = SigmaOptConfig(sigma0=0.25, step_alpha=0.05, iters_k=400,
-                             n_samples=2000, sigma_max=2.0,
-                             grad_mode=GRAD_SCALAR_FD)
+        cfg = SigmaOptConfig(step_alpha=0.05, iters_k=400, n_samples=2000,
+                             sigma_max=2.0, grad_mode=GRAD_SCALAR_FD)
         noise = draw_noise(np.random.default_rng(77), 2000, 2)
-        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, noise=noise)
+        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, noise=noise,
+                                           sigma0=0.25)
         assert sigma_star > 1.9
         assert trace[-1].proxy_radius > 2.0 * trace[0].proxy_radius
         assert trace[-1].proxy_radius == pytest.approx(2.0 / math.sqrt(4.25),
@@ -102,12 +102,13 @@ class TestOptimizeSigma:
         best_idx = int(np.argmax(vals))
         r_star, s_star = vals[best_idx], grid[best_idx]
         c = nested_ball_classifier(1.0, dim=2)
-        cfg = SigmaOptConfig(sigma0=0.5, step_alpha=0.01, iters_k=500,
-                             n_samples=10_000, sigma_min=0.05, sigma_max=2.0,
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=500, n_samples=10_000,
+                             sigma_min=0.05, sigma_max=2.0,
                              grad_mode=GRAD_SCALAR_FD,
                              return_mode=RETURN_BEST_ITERATE, fd_step=1e-3)
         noise = draw_noise(np.random.default_rng(1234), 10_000, 2)
-        sigma_best, trace = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise)
+        sigma_best, trace = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise,
+                                           sigma0=0.5)
         assert trace.best().proxy_radius >= 0.90 * r_star
         assert abs(sigma_best - s_star) <= 0.10 * s_star + 0.05
 
@@ -119,20 +120,19 @@ class TestOptimizeSigma:
             c = probit_halfspace_classifier(w, rng.normal() * 0.3,
                                             rng.uniform(0.2, 1.0))
             x = rng.normal(size=2)
-            cfg = SigmaOptConfig(sigma0=rng.uniform(0.1, 1.5),
-                                 step_alpha=10 ** rng.uniform(-4, -1),
+            sigma0 = rng.uniform(0.1, 1.5)
+            cfg = SigmaOptConfig(step_alpha=10 ** rng.uniform(-4, -1),
                                  iters_k=10, n_samples=20,
                                  return_mode=RETURN_BEST_ITERATE)
             noise = draw_noise(np.random.default_rng(trial), 20, 2)
-            _, trace = optimize_sigma(c, x, cfg, noise=noise)
+            _, trace = optimize_sigma(c, x, cfg, noise=noise, sigma0=sigma0)
             assert trace.best().proxy_radius >= trace[0].proxy_radius
 
     def test_bit_reproducible(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=30,
-                             n_samples=40)
-        a = optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 9))
-        b = optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 9))
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=30, n_samples=40)
+        a = optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 9), 0.3)
+        b = optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 9), 0.3)
         assert a[0] == b[0]
         assert a[1].entries == b[1].entries
 
@@ -142,33 +142,33 @@ class TestOptimizeSigma:
            seed=st.integers(min_value=0, max_value=100))
     def test_iterates_stay_in_bounds(self, sigma0, alpha, seed):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.4)
-        cfg = SigmaOptConfig(sigma0=sigma0, step_alpha=alpha, iters_k=8,
-                             n_samples=8, sigma_min=0.05, sigma_max=1.9)
-        _, trace = optimize_sigma(c, [0.5, -0.3], cfg, seeded_noise(cfg, 2, seed))
+        cfg = SigmaOptConfig(step_alpha=alpha, iters_k=8, n_samples=8,
+                             sigma_min=0.05, sigma_max=1.9)
+        _, trace = optimize_sigma(c, [0.5, -0.3], cfg, seeded_noise(cfg, 2, seed),
+                                  sigma0)
         for e in trace:
             assert cfg.sigma_min <= e.sigma <= cfg.sigma_max
 
     @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 7)])
     def test_one_probs_call_per_iterate(self, mode, grads):
         c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
-        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=7,
-                             n_samples=5, grad_mode=mode)
-        optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 4))
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=7, n_samples=5, grad_mode=mode)
+        optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 4), 0.3)
         assert calls == {"probs": 8, "grads": grads}
 
     def test_zero_iterations_analytic_on_value_only(self):
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        cfg = SigmaOptConfig(sigma0=0.4, iters_k=0, n_samples=10,
-                             grad_mode=GRAD_ANALYTIC)
-        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 1))
+        cfg = SigmaOptConfig(iters_k=0, n_samples=10, grad_mode=GRAD_ANALYTIC)
+        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 1),
+                                           0.4)
         assert sigma_star == 0.4 and len(trace) == 1
 
     def test_faithful_returns_last_iterate(self):
         c = nested_ball_classifier(1.0, dim=2)
-        cfg = SigmaOptConfig(sigma0=0.5, step_alpha=0.05, iters_k=60,
-                             n_samples=500, sigma_min=0.05,
-                             return_mode=RETURN_FAITHFUL)
-        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 12))
+        cfg = SigmaOptConfig(step_alpha=0.05, iters_k=60, n_samples=500,
+                             sigma_min=0.05, return_mode=RETURN_FAITHFUL)
+        sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 12),
+                                           0.5)
         assert sigma_star == trace[-1].sigma
 
 
@@ -194,16 +194,16 @@ class TestBatchedAscent:
         xs = rng.uniform(-1.5, 1.5, size=(7, 2))
         # carried start scales as train_batch passes them, some out of bounds
         starts = rng.uniform(0.02, 2.5, size=7)
-        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.05, iters_k=12,
-                             n_samples=4, sigma_min=0.1, sigma_max=2.0,
-                             grad_mode=mode, return_mode=ret)
+        cfg = SigmaOptConfig(step_alpha=0.05, iters_k=12, n_samples=4,
+                             sigma_min=0.1, sigma_max=2.0, grad_mode=mode,
+                             return_mode=ret)
         noise = draw_noise(rng, 4, 2, kind, lead=(7,))
         stars, traces = optimize_sigma(c, xs, cfg, noise=noise, sigma0=starts)
         assert stars.shape == (7,) and len(traces) == 7
         for i in range(7):
-            cfg_i = replace(cfg, sigma0=float(np.clip(starts[i], 0.1, 2.0)))
-            star, trace = optimize_sigma(c, xs[i], cfg_i,
-                                         noise=NoiseBatch(kind, noise.draws[i]))
+            star, trace = optimize_sigma(c, xs[i], cfg,
+                                         noise=NoiseBatch(kind, noise.draws[i]),
+                                         sigma0=float(np.clip(starts[i], 0.1, 2.0)))
             assert type(star) is float
             if mode == GRAD_SCALAR_FD:
                 assert stars[i] == star
@@ -219,17 +219,34 @@ class TestBatchedAscent:
     @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 5)])
     def test_one_probs_call_per_iterate_for_the_batch(self, mode, grads):
         c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
-        cfg = SigmaOptConfig(sigma0=0.3, step_alpha=0.01, iters_k=5,
-                             n_samples=3, grad_mode=mode)
-        optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg, seeded_noise(cfg, 2, lead=(9,)))
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=5, n_samples=3, grad_mode=mode)
+        optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg, seeded_noise(cfg, 2, lead=(9,)),
+                       0.3)
         assert calls == {"probs": 6, "grads": grads}
 
     def test_non_finite_start_scale_rejected(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        cfg = SigmaOptConfig(sigma0=0.3, iters_k=2, n_samples=3)
+        cfg = SigmaOptConfig(iters_k=2, n_samples=3)
         with pytest.raises(ValueError):
             optimize_sigma(c, np.zeros((4, 2)), cfg, seeded_noise(cfg, 2, lead=(4,)),
                            sigma0=[0.3, math.nan, 0.3, 0.3])
+
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scalar_start_rejected(self, sigma0):
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        cfg = SigmaOptConfig(iters_k=2, n_samples=3)
+        with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+            optimize_sigma(c, [0.5, 0.0], cfg, seeded_noise(cfg, 2), sigma0)
+
+    @pytest.mark.parametrize("start,bound", [(3.0, 2.0), (0.01, 0.1)])
+    def test_start_out_of_bounds_is_projected(self, start, bound):
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        cfg = SigmaOptConfig(step_alpha=0.05, iters_k=6, n_samples=8,
+                             sigma_min=0.1, sigma_max=2.0)
+        out = optimize_sigma(c, [0.5, 0.0], cfg, seeded_noise(cfg, 2, 3), start)
+        at_bound = optimize_sigma(c, [0.5, 0.0], cfg, seeded_noise(cfg, 2, 3), bound)
+        assert out[0] == at_bound[0] and out[1][0].sigma == bound
+        assert out[1].entries == at_bound[1].entries
 
 
 class TestGradSigma:
@@ -336,10 +353,10 @@ class TestGridSearch:
         noise = draw_noise(np.random.default_rng(6), n, 2)
         s_grid = grid_search_sigma(c, [0.0, 0.0], n, n * m,
                                    sigma_grid_max=1.0, noise=noise)
-        cfg = SigmaOptConfig(sigma0=0.5, step_alpha=0.01, iters_k=m,
-                             n_samples=n, sigma_min=0.05, sigma_max=2.0,
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=m, n_samples=n,
+                             sigma_min=0.05, sigma_max=2.0,
                              return_mode=RETURN_BEST_ITERATE, fd_step=1e-3)
-        s_best, _ = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise)
+        s_best, _ = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise, sigma0=0.5)
         grid_pts = sigma_grid(n, n * m, 1.0)
         true_vals = [ball_radius_true(float(s)) for s in grid_pts]
         max_step = max(abs(b - a) for a, b in zip(true_vals, true_vals[1:]))

@@ -23,23 +23,16 @@ from smoothcert.stats import P_CLAMP, binom_lower_confidence, std_normal_quantil
 class TestConfigAndOutcome:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GaussianCertConfig(sigma=0.0)
+            GaussianCertConfig(n0=0)
         with pytest.raises(ValueError):
-            GaussianCertConfig(sigma=0.5, n0=0)
+            GaussianCertConfig(n0=100, n_cert=50)
         with pytest.raises(ValueError):
-            GaussianCertConfig(sigma=0.5, n0=100, n_cert=50)
-        with pytest.raises(ValueError):
-            GaussianCertConfig(sigma=0.5, alpha_fail=1.0)
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError, match="finite"):
-            GaussianCertConfig(sigma=sigma)
+            GaussianCertConfig(alpha_fail=1.0)
 
     def test_outcome_invariants(self):
         with pytest.raises(ValueError):
-            CertificationOutcome(ABSTAIN, 0.5, 0.4, 0.25, "l2", 100)
-        out = CertificationOutcome(ABSTAIN, 0.0, 0.4, 0.25, "l2", 100)
+            CertificationOutcome(ABSTAIN, 0.5, 0.4, 100)
+        out = CertificationOutcome(ABSTAIN, 0.0, 0.4, 100)
         assert out.abstained and out.radius == 0.0
 
     def test_noise_batch_validation(self):
@@ -141,11 +134,11 @@ class TestVoteCounts:
             raise AssertionError("probs_fn called on the vote path")
 
         fast = replace(c, probs_fn=no_probs)
-        cfg = GaussianCertConfig(sigma=scale, n0=100, n_cert=70_000, seed=3)
+        cfg = GaussianCertConfig(n0=100, n_cert=70_000, seed=3)
         assert np.array_equal(vote_counts(fast, x, scale, 70_000, rng_for_input(1, 2)),
                               vote_counts(c, x, scale, 70_000, rng_for_input(1, 2)))
-        assert (certify_l2(fast, x, cfg, rng=rng_for_input(cfg.seed, 5))
-                == certify_l2(c, x, cfg, rng=rng_for_input(cfg.seed, 5)))
+        assert (certify_l2(fast, x, scale, cfg, rng=rng_for_input(cfg.seed, 5))
+                == certify_l2(c, x, scale, cfg, rng=rng_for_input(cfg.seed, 5)))
         assert certify_l1(fast, x, scale, cfg) == certify_l1(c, x, scale, cfg)
 
 
@@ -153,9 +146,8 @@ class TestCertifyL2:
     def test_constant_classifier_exact_radius(self):
         # unanimous votes: p_lower = alpha ** (1/n_cert) exactly
         c = constant_classifier([0.0, 1.0], dim=2)
-        cfg = GaussianCertConfig(sigma=0.5, n0=100, n_cert=1000,
-                                 alpha_fail=0.01, seed=2)
-        out = certify_l2(c, [0.3, -0.4], cfg)
+        cfg = GaussianCertConfig(n0=100, n_cert=1000, alpha_fail=0.01, seed=2)
+        out = certify_l2(c, [0.3, -0.4], 0.5, cfg)
         p = 0.01 ** (1.0 / 1000)
         assert out.prediction == 1
         assert out.p_lower == pytest.approx(p, abs=1e-12)
@@ -166,55 +158,55 @@ class TestCertifyL2:
     def test_boundary_abstains(self):
         # at the decision boundary p_lower < 0.5 essentially always
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        cfg = GaussianCertConfig(sigma=0.5, n0=100, n_cert=5000,
-                                 alpha_fail=0.001, seed=3)
-        out = certify_l2(c, [0.0, 0.0], cfg)
+        cfg = GaussianCertConfig(n0=100, n_cert=5000, alpha_fail=0.001, seed=3)
+        out = certify_l2(c, [0.0, 0.0], 0.5, cfg)
         assert out.prediction == ABSTAIN
         assert out.radius == 0.0
 
     def test_soundness_on_margin_one(self):
         # certified radius must not exceed the true robust radius (the margin)
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        cfg = GaussianCertConfig(sigma=0.25, n0=100, n_cert=20_000,
-                                 alpha_fail=0.001)
+        cfg = GaussianCertConfig(n0=100, n_cert=20_000, alpha_fail=0.001)
         for seed in range(20):
-            out = certify_l2(c, [1.0, 0.0],
-                             GaussianCertConfig(sigma=0.25, n0=100,
-                                                n_cert=20_000,
+            out = certify_l2(c, [1.0, 0.0], 0.25,
+                             GaussianCertConfig(n0=100, n_cert=20_000,
                                                 alpha_fail=0.001, seed=seed))
             assert out.radius <= 1.0
 
     def test_bit_reproducible(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        cfg = GaussianCertConfig(sigma=0.3, n0=100, n_cert=2000, seed=17)
-        a = certify_l2(c, [0.7, 0.1], cfg, rng=rng_for_input(cfg.seed, 4))
-        b = certify_l2(c, [0.7, 0.1], cfg, rng=rng_for_input(cfg.seed, 4))
+        cfg = GaussianCertConfig(n0=100, n_cert=2000, seed=17)
+        a = certify_l2(c, [0.7, 0.1], 0.3, cfg, rng=rng_for_input(cfg.seed, 4))
+        b = certify_l2(c, [0.7, 0.1], 0.3, cfg, rng=rng_for_input(cfg.seed, 4))
         assert a == b
 
     def test_dimension_mismatch(self):
         c = constant_classifier([1.0], dim=3)
-        cfg = GaussianCertConfig(sigma=0.5, n0=10, n_cert=10)
+        cfg = GaussianCertConfig(n0=10, n_cert=10)
         with pytest.raises(ValueError):
-            certify_l2(c, [1.0, 2.0], cfg)
+            certify_l2(c, [1.0, 2.0], 0.5, cfg)
+
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        c = constant_classifier([1.0, 0.0], dim=2)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            certify_l2(c, [0.0, 0.0], sigma, GaussianCertConfig(n0=10, n_cert=10))
 
 
 class TestCertifyL1:
     def test_unanimous_radius_formula(self):
         c = constant_classifier([0.0, 1.0], dim=2)
         lam = 0.8
-        cfg = GaussianCertConfig(sigma=1.0, n0=50, n_cert=500,
-                                 alpha_fail=0.01, seed=4)
+        cfg = GaussianCertConfig(n0=50, n_cert=500, alpha_fail=0.01, seed=4)
         out = certify_l1(c, [0.0, 0.0], lam, cfg)
         p = 0.01 ** (1.0 / 500)
-        assert out.norm == "l1"
         assert out.radius == pytest.approx(lam * (2 * min(p, 1 - P_CLAMP) - 1),
                                            abs=1e-12)
 
     def test_boundary_abstains(self):
         # true pA = 1/2 at the threshold, so p_lower <= 1/2 and we abstain
         c = hard_halfspace_classifier([1.0], 0.0)
-        cfg = GaussianCertConfig(sigma=1.0, n0=100, n_cert=2000,
-                                 alpha_fail=0.001, seed=6)
+        cfg = GaussianCertConfig(n0=100, n_cert=2000, alpha_fail=0.001, seed=6)
         out = certify_l1(c, [0.0], 1.0, cfg)
         assert out.prediction == ABSTAIN and out.radius == 0.0
 
@@ -222,8 +214,7 @@ class TestCertifyL1:
         # classifier 1{x1 > 0} at x1 = 0.5 under lam = 1:
         # true pA = (0.5 + 1) / 2 = 0.75, radius about 2*pA - 1 = 0.5
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        cfg = GaussianCertConfig(sigma=1.0, n0=100, n_cert=50_000,
-                                 alpha_fail=0.001, seed=8)
+        cfg = GaussianCertConfig(n0=100, n_cert=50_000, alpha_fail=0.001, seed=8)
         out = certify_l1(c, [0.5, 0.0], 1.0, cfg)
         assert out.prediction == 1
         assert out.radius == pytest.approx(0.5, abs=0.02)
@@ -231,15 +222,14 @@ class TestCertifyL1:
 
     def test_nonpositive_lambda(self):
         c = constant_classifier([1.0, 0.0], dim=1)
-        cfg = GaussianCertConfig(sigma=1.0, n0=10, n_cert=10)
+        cfg = GaussianCertConfig(n0=10, n_cert=10)
         for lam in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="lambda must be positive"):
                 certify_l1(c, [0.0], lam, cfg)
 
     def test_radius_nonnegative_and_zero_iff_not_confident(self):
         rng = np.random.default_rng(30)
-        cfg = GaussianCertConfig(sigma=1.0, n0=50, n_cert=400,
-                                 alpha_fail=0.01, seed=9)
+        cfg = GaussianCertConfig(n0=50, n_cert=400, alpha_fail=0.01, seed=9)
         c = hard_halfspace_classifier([1.0], 0.0)
         for i in range(25):
             x = rng.uniform(-1.5, 1.5, size=1)
