@@ -15,10 +15,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .classifiers import load_classifier
 from .pipeline import (DEFAULT_RADII, CampaignConfig, checked_radii_grid,
                        metrics_from_records, read_report_csv, run_campaign,
                        run_training_demo)
@@ -113,28 +113,46 @@ def _parse_radii(text: str | None) -> tuple[float, ...]:
 
 
 def _opt_config(args) -> SigmaOptConfig:
-    """Ascent config from the shared ascent flags; the bounds widen to hold a valid sigma0."""
-    lo, hi = args.sigma_min, args.sigma_max
-    if 0 < args.sigma0 < np.inf:
-        lo, hi = min(lo, args.sigma0), max(hi, args.sigma0)
+    """Ascent config from the shared ascent flags."""
     return SigmaOptConfig(step_alpha=args.alpha_step, iters_k=args.iters,
-                          n_samples=args.n, sigma_min=lo, sigma_max=hi,
-                          grad_mode=args.grad_mode, return_mode=args.return_mode)
+                          n_samples=args.n, sigma_min=args.sigma_min,
+                          sigma_max=args.sigma_max, grad_mode=args.grad_mode,
+                          return_mode=args.return_mode)
+
+
+def _config_echo(cfg: CampaignConfig, args) -> dict:
+    """The campaign's settings and input paths, for the metrics JSON."""
+    return {
+        "mode": cfg.mode,
+        "cert": {**asdict(cfg.cert), "sigma": cfg.sigma0},
+        "opt": {"sigma0": cfg.sigma0, "step_alpha": cfg.opt.step_alpha,
+                "iters_k": cfg.opt.iters_k, "n_samples": cfg.opt.n_samples,
+                "sigma_min": cfg.opt.sigma_min, "sigma_max": cfg.opt.sigma_max,
+                "grad_mode": cfg.opt.grad_mode, "return_mode": cfg.opt.return_mode},
+        "radii_grid": list(cfg.radii_grid),
+        "dataset": args.dataset,
+        "classifier": args.classifier,
+    }
 
 
 def _cmd_certify(args) -> int:
-    seed = _seed(args)
+    # Looked up at call time, so a hook set on a module attribute sees the call.
+    from .classifiers import load_classifier
+    from .memory import load_memory
+    from .pipeline import emit_report, load_dataset
+
     cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,
-                              alpha_fail=args.alpha_fail, seed=seed)
+                              alpha_fail=args.alpha_fail, seed=_seed(args))
     cfg = CampaignConfig(mode=args.mode, sigma0=args.sigma0, cert=cert,
-                         opt=_opt_config(args),
-                         radii_grid=_parse_radii(args.radii),
-                         dataset_path=args.dataset,
-                         classifier_path=args.classifier,
-                         memory_in=args.memory_in, memory_out=args.memory_out,
-                         report_csv=args.out,
-                         report_json=args.metrics_out or args.out + ".metrics.json")
-    _, _, metrics = run_campaign(cfg)
+                         opt=_opt_config(args), radii_grid=_parse_radii(args.radii))
+    dataset = load_dataset(args.dataset)
+    classifier = load_classifier(args.classifier)
+    memory = load_memory(args.memory_in) if args.memory_in else None
+    records, memory, metrics = run_campaign(cfg, dataset, classifier, memory)
+    emit_report(records, metrics, args.out,
+                args.metrics_out or args.out + ".metrics.json",
+                config_echo=_config_echo(cfg, args), memory=memory,
+                memory_path=args.memory_out)
     print(f"certified {metrics.n_inputs} inputs: ACR={metrics.acr:.6f} "
           f"abstain_rate={metrics.abstain_rate:.4f} "
           f"overlap_events={metrics.overlap_events}")
@@ -142,6 +160,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_optimize_sigma(args) -> int:
+    from .classifiers import load_classifier  # looked up at call time, as in certify
+
     c = load_classifier(args.classifier)
     x = np.array([float(v) for v in args.point.split(",")])
     rng = np.random.default_rng(np.random.SeedSequence([_seed(args)]))
@@ -155,6 +175,9 @@ def _cmd_optimize_sigma(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
+    if args.seeds < 1 or args.epochs < 0:
+        raise ValueError(f"need --seeds >= 1 and --epochs >= 0, got {args.seeds} "
+                         f"and {args.epochs}")
     first = _seed(args)
     results = []
     for s in range(first, first + args.seeds):

@@ -6,6 +6,9 @@ the memory so differently-predicted certificates can never overlap. The scale
 ascent runs in one batched call per block of rows. Rows are certified on up
 to one thread per CPU, then inserted into the memory in dataset order; per-row
 seeds make the results independent of the blocks and the threads.
+``run_campaign`` reads and writes no files: it takes the dataset, classifier
+and memory as objects and returns the records, memory and metrics, which
+``emit_report`` writes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,16 +154,11 @@ class CampaignConfig:
     cert: GaussianCertConfig
     opt: SigmaOptConfig
     radii_grid: tuple[float, ...] = DEFAULT_RADII
-    dataset_path: str | None = None
-    classifier_path: str | None = None
-    memory_in: str | None = None
-    memory_out: str | None = None
-    report_csv: str | None = None
-    report_json: str | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "sigma0", float(self.sigma0))
         lo, hi = self.opt.sigma_min, self.opt.sigma_max
         if not 0 < self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
@@ -227,34 +225,21 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_campaign(cfg: CampaignConfig,
-                 dataset: LabeledDataset | None = None,
-                 classifier: ClassifierHandle | None = None,
-                 memory: MemoryStore | None = None
+def run_campaign(cfg: CampaignConfig, dataset: LabeledDataset,
+                 classifier: ClassifierHandle, memory: MemoryStore | None = None
                  ) -> tuple[list[CertRecord], MemoryStore, MetricsSummary]:
     """Certify a dataset and aggregate the campaign metrics.
 
     Fixed mode certifies at one scale without touching the memory; the ds
     modes optimize every row's scale in batched ascent calls first. All rows
     are certified, on up to one thread per CPU and 2^16 vote points in flight,
-    before the ds regions go into the memory in dataset order, recording any
-    adjustment the memory forced on the prediction or radius. A dataset or
-    memory that does not fit the classifier or mode is rejected before any work.
+    before the ds regions go into the memory (a new empty one by default) in
+    dataset order, recording any adjustment the memory forced on the
+    prediction or radius. A dataset or memory that does not fit the classifier
+    or mode is rejected before any work.
     """
-    from .classifiers import load_classifier
-    from .memory import load_memory
-
-    if dataset is None:
-        if cfg.dataset_path is None:
-            raise ValueError("either a dataset or a dataset path is required")
-        dataset = load_dataset(cfg.dataset_path)
-    if classifier is None:
-        if cfg.classifier_path is None:
-            raise ValueError("either a classifier or a classifier path is required")
-        classifier = load_classifier(cfg.classifier_path)
     if memory is None:
-        memory = load_memory(cfg.memory_in) if cfg.memory_in else MemoryStore()
-
+        memory = MemoryStore()
     if len(dataset) and dataset.dim != classifier.dim:
         raise ValueError(f"dataset dim {dataset.dim} does not match classifier "
                          f"dim {classifier.dim}")
@@ -296,26 +281,7 @@ def run_campaign(cfg: CampaignConfig,
 
     metrics = metrics_from_records(records, cfg.radii_grid,
                                    overlap_events=memory.overlap_events)
-    if cfg.memory_out:
-        save_memory(memory, cfg.memory_out)
-    if cfg.report_csv:
-        emit_report(records, metrics, cfg.report_csv, cfg.report_json,
-                    config_echo=_config_echo(cfg))
     return records, memory, metrics
-
-
-def _config_echo(cfg: CampaignConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "cert": {**asdict(cfg.cert), "sigma": cfg.sigma0},
-        "opt": {"sigma0": cfg.sigma0, "step_alpha": cfg.opt.step_alpha,
-                "iters_k": cfg.opt.iters_k, "n_samples": cfg.opt.n_samples,
-                "sigma_min": cfg.opt.sigma_min, "sigma_max": cfg.opt.sigma_max,
-                "grad_mode": cfg.opt.grad_mode, "return_mode": cfg.opt.return_mode},
-        "radii_grid": list(cfg.radii_grid),
-        "dataset": cfg.dataset_path,
-        "classifier": cfg.classifier_path,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +415,12 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
 # ---------------------------------------------------------------------------
 
 def emit_report(records: list[CertRecord], metrics: MetricsSummary, csv_path,
-                json_path=None, config_echo: dict | None = None) -> None:
-    """Write the per-input CSV and the companion metrics JSON."""
+                json_path=None, config_echo: dict | None = None, *,
+                memory: MemoryStore | None = None, memory_path=None) -> None:
+    """Write the memory file (when ``memory_path`` is given), the per-input CSV
+    and the companion metrics JSON."""
+    if memory_path:
+        save_memory(memory, memory_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)

@@ -106,6 +106,7 @@ class TestCertify:
                                     "l2 regions of dim 2"),
         ("ds", [0.0, 0.0, 0.0], "l2", "needs l2 regions of dim 2, the memory "
                                       "holds l2 regions of dim 3"),
+        ("ds", [0.0, 0.0], "linf", "bad region on line 1: unknown norm 'linf'"),
     ])
     def test_unfit_memory_fails_before_any_work(self, workspace, monkeypatch,
                                                 capsys, mode, center, norm,
@@ -125,6 +126,37 @@ class TestCertify:
         assert cli_main(args) == 1
         assert message in capsys.readouterr().err
         assert not out.exists() and calls == []
+
+    @pytest.mark.parametrize("data,clf,message", [
+        (None, {"kind": "probit_halfspace", "w": [1.0, 0.0, 0.0], "b": 0.0, "s": 0.5},
+         "dataset dim 2 does not match classifier dim 3"),
+        ("0.5,0.5,1\n2\n", None, "line 2: need at least one feature and a label"),
+        (None, {"w": [1.0, 0.0], "b": 0.0, "s": 0.5},
+         "classifier config must be an object with a 'kind' field"),
+    ], ids=["dim_mismatch", "one_field_line", "classifier_without_kind"])
+    def test_unfit_input_fails_before_writing(self, workspace, capsys, data, clf,
+                                              message):
+        tmp, data_path, clf_path = workspace
+        if data is not None:
+            data_path = tmp / "bad.csv"
+            data_path.write_text(data)
+        if clf is not None:
+            clf_path = tmp / "bad.json"
+            clf_path.write_text(json.dumps(clf))
+        out = tmp / "r.csv"
+        assert cli_main(certify_args(data_path, clf_path, out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma0_outside_the_ascent_bounds_fails_before_writing(self, workspace,
+                                                                  capsys):
+        tmp, data, clf = workspace
+        out = tmp / "r.csv"
+        args = certify_args(data, clf, out)
+        args[args.index("--sigma0") + 1] = "3.0"
+        assert cli_main(args) == 1
+        assert "sigma0 3.0 lies outside [0.001, 2.0]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, workspace):
         tmp, data, clf = workspace
@@ -219,9 +251,11 @@ class TestReport:
         ("1,1,1,0,0.5,0.25,0.99,0", "correct must be 1 exactly when"),
         ("1,1,1,1,0.5,0.25,0.99,2", "adjusted_by_memory must be 0 or 1"),
         ("1,one,1,1,0.5,0.25,0.99,0", "invalid literal for int()"),
+        ("1,1,1,1,0.5,0.25,0.99", "expected 8 fields"),
     ], ids=["negative_radius", "abstain_with_radius", "negative_sigma_star",
             "p_lower_above_one", "negative_label", "negative_prediction",
-            "correct_mismatch", "adjusted_not_a_flag", "label_not_an_integer"])
+            "correct_mismatch", "adjusted_not_a_flag", "label_not_an_integer",
+            "row_of_the_wrong_width"])
     def test_row_certify_cannot_write_is_runtime_error(self, tmp_path, capsys,
                                                         row, message):
         path = tmp_path / "r.csv"
@@ -230,6 +264,15 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path}: line 3: {message}" in captured.err
+
+    def test_wrong_header_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(REPORT_HEADER.replace("p_lower", "p_low") +
+                        "0,1,1,1,0.5,0.25,0.99,0\n")
+        assert cli_main(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: unexpected report header" in captured.err
 
     def test_overlap_events_left_out(self, workspace, capsys):
         # the flipped classifier re-predicts every stored center, so every
@@ -273,6 +316,26 @@ class TestOptimizeSigma:
         assert len(lines) == 1 + 6 + 1  # header, K+1 rows, summary
         assert lines[-1].startswith("sigma_star=")
 
+    def test_start_outside_the_bounds_is_projected(self, workspace, capsys):
+        _, _, clf = workspace
+        code = cli_main(["optimize-sigma", "--classifier", str(clf),
+                         "--point", "1.0,0.0", "--sigma0", "3.0",
+                         "--iters", "5", "--n", "64", "--seed", "2"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        sigmas = [float(line.split(",")[1]) for line in lines[1:-1]]
+        assert sigmas[0] == 2.0 and max(sigmas) <= 2.0
+        assert float(lines[-1].split()[0].split("=")[1]) <= 2.0
+
+    def test_point_of_the_wrong_dimension_is_runtime_error(self, workspace, capsys):
+        _, _, clf = workspace
+        code = cli_main(["optimize-sigma", "--classifier", str(clf),
+                         "--point", "1.0,0.0,0.0", "--sigma0", "0.25"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise/point dimension mismatch with classifier" in captured.err
+
 
 class TestTrainDemo:
     def test_tiny_demo_runs(self, tmp_path, capsys):
@@ -285,6 +348,17 @@ class TestTrainDemo:
         assert len(payload["runs"]) == 1
         text = capsys.readouterr().out
         assert "acr_fixed" in text and "acr_ds" in text
+
+    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"),
+                                            ("--epochs", "-3")])
+    def test_counts_that_do_no_work_are_rejected(self, tmp_path, capsys, flag,
+                                                 value):
+        out = tmp_path / "demo.json"
+        code = cli_main(["train-demo", flag, value, "--out-json", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need --seeds >= 1 and --epochs >= 0" in captured.err
+        assert not out.exists()
 
 
 def test_python_dash_m_runs_cli_main(workspace, capsys):

@@ -297,14 +297,11 @@ class TestThreadedCampaign:
     MODES = (MODE_FIXED, MODE_DS, MODE_DS_L1)
     LIGHT = pipeline._POOL_MIN_VOTES - 1  # the most votes certified without threads
 
-    def _cfg(self, mode, tmp_path=None, n_cert=20_000):
+    def _cfg(self, mode, n_cert=20_000):
         cert = GaussianCertConfig(n0=50, n_cert=n_cert, alpha_fail=0.01, seed=13)
         opt = SigmaOptConfig(step_alpha=0.05, iters_k=5, n_samples=16)
-        out = {} if tmp_path is None else dict(
-            memory_out=str(tmp_path / "m.jsonl"), report_csv=str(tmp_path / "r.csv"),
-            report_json=str(tmp_path / "r.json"))
         return CampaignConfig(mode=mode, sigma0=0.25, cert=cert, opt=opt,
-                              radii_grid=(0.0, 0.25, 0.5), **out)
+                              radii_grid=(0.0, 0.25, 0.5))
 
     @pytest.mark.parametrize("rows", [5, 13])
     @pytest.mark.parametrize("mode", MODES)
@@ -315,9 +312,10 @@ class TestThreadedCampaign:
         outputs = []
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-            cfg = self._cfg(mode, tmp_path)
-            records, store, _ = run_campaign(cfg, dataset=ds, classifier=c,
-                                             memory=prior_memory(ds, norm))
+            records, store, metrics = run_campaign(self._cfg(mode), ds, c,
+                                                   prior_memory(ds, norm))
+            emit_report(records, metrics, tmp_path / "r.csv", tmp_path / "r.json",
+                        memory=store, memory_path=tmp_path / "m.jsonl")
             files = [(tmp_path / f).read_bytes() for f in ("m.jsonl", "r.csv", "r.json")]
             outputs.append((records, store.regions, files))
         assert all(out == outputs[0] for out in outputs[1:])
@@ -494,10 +492,20 @@ class TestReports:
             cert = GaussianCertConfig(n0=50, n_cert=500, alpha_fail=0.01, seed=42)
             opt = SigmaOptConfig(iters_k=10, step_alpha=0.05, n_samples=16)
             cfg = CampaignConfig(mode=MODE_DS, sigma0=0.25, cert=cert, opt=opt,
-                                 radii_grid=(0.0, 0.5),
-                                 dataset_path=str(data_path),
-                                 report_csv=str(tmp_path / f"{name}.csv"),
-                                 report_json=str(tmp_path / f"{name}.json"))
-            run_campaign(cfg, classifier=c)
+                                 radii_grid=(0.0, 0.5))
+            records, _, metrics = run_campaign(cfg, load_dataset(data_path), c)
+            emit_report(records, metrics, tmp_path / f"{name}.csv",
+                        tmp_path / f"{name}.json")
             outs.append((tmp_path / f"{name}.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_DS])
+    def test_numpy_sigma0_round_trips_through_the_csv(self, tmp_path, mode):
+        ds, c = probit_setup(n=3, seed=4)
+        cert = GaussianCertConfig(n0=50, n_cert=200, alpha_fail=0.01, seed=1)
+        cfg = CampaignConfig(mode=mode, sigma0=np.float64(0.25), cert=cert,
+                             opt=SigmaOptConfig(iters_k=0, n_samples=4))
+        assert type(cfg.sigma0) is float
+        records, _, metrics = run_campaign(cfg, ds, c)
+        emit_report(records, metrics, tmp_path / "r.csv")
+        assert read_report_csv(tmp_path / "r.csv") == records
