@@ -46,6 +46,21 @@ SIMPLEX_ATOL = 1e-9
 _ONE_HOT = np.eye(2)
 
 
+def _ndtr_tie() -> float:
+    """The largest double t with ``ndtr(t) <= 1/2`` under the installed scipy (a
+    literal could go stale), bisecting the bits of [0, 1], which sort as values.
+    argmax([1 - q, q]) at q = ndtr(u) is 1 iff u > t: 1 - q is exact for q >= 1/2
+    (Sterbenz), so it is 1 iff q > 1/2, and ndtr is monotone."""
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sps.ndtr(np.int64(mid).view(np.float64)) <= 0.5 else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+_NDTR_TIE = _ndtr_tie()
+
+
 class DerivativeUnsupportedError(RuntimeError):
     """Raised when analytic derivatives are requested from a value-only classifier."""
 
@@ -194,7 +209,8 @@ def hard_halfspace_classifier(w, b: float) -> ClassifierHandle:
 
 
 def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
-    """Soft binary classifier with class-1 probability Phi((w.x - b) / s)."""
+    """Soft binary classifier with class-1 probability Phi((w.x - b) / s); its
+    votes compare (w.x - b) / s with ``_NDTR_TIE`` and call no ``ndtr``."""
     w = as_point(w)
     if not np.linalg.norm(w) > 0:
         raise ValueError("w must be nonzero")
@@ -208,8 +224,7 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
         return np.stack([1.0 - q, q], axis=1)
 
     def labels_fn(points):  # the argmax of probs_fn, ties included
-        q = sps.ndtr((points @ w - b) / s)
-        return q > 1.0 - q
+        return (points @ w - b) / s > _NDTR_TIE
 
     def grad_fn(points):
         u = (points @ w - b) / s

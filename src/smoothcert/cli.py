@@ -178,6 +178,8 @@ def _cmd_train_demo(args) -> int:
     if args.seeds < 1 or args.epochs < 0:
         raise ValueError(f"need --seeds >= 1 and --epochs >= 0, got {args.seeds} "
                          f"and {args.epochs}")
+    if args.n_train < 1 or args.n_test < 1 or args.n_cert < 100:  # 100: the demo's n0
+        raise ValueError("need --n-train >= 1, --n-test >= 1 and --n-cert >= 100")
     first = _seed(args)
     results = []
     for s in range(first, first + args.seeds):

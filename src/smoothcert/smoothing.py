@@ -116,27 +116,35 @@ def draw_noise(rng: np.random.Generator, n: int, dim: int,
 
 
 def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
-                rng: np.random.Generator, kind: str = NOISE_GAUSSIAN) -> np.ndarray:
-    """Per-class counts of ``c.labels`` at x + scale * noise.
+                rng: np.random.Generator, kind: str = NOISE_GAUSSIAN,
+                split: int | None = None) -> np.ndarray:
+    """Per-class counts of ``c.labels`` at x + scale * noise; with ``split``,
+    one row for the first ``split`` votes and one for the rest.
 
     A label is the argmax of the soft output, ties going to the lowest class
-    index. Each batch of draws is scaled and shifted in place, which gives
-    the bits of x + scale * draws. A generator's draws do not depend on how
-    they are chunked, so the batch size bounds memory and changes no count.
+    index. Each flat batch of draws is scaled in place and shifted by x tiled
+    to its length: the IEEE operations, so the bits, of x + scale * draws. The
+    draws do not depend on the chunking, so neither batch size nor split does.
     """
     x = as_point(x)
     if x.size != c.dim:
         raise ValueError(f"point has dim {x.size}, classifier expects {c.dim}")
-    counts = np.zeros(c.num_classes, dtype=np.int64)
-    remaining = int(n)
-    while remaining > 0:
-        m = min(_VOTE_BATCH, remaining)
-        draws = draw_noise(rng, m, c.dim, kind).draws
+    k, n, first = c.num_classes, int(n), int(split or 0)
+    counts = np.zeros((2, k), dtype=np.int64)
+    shift = np.tile(x, min(_VOTE_BATCH, n))
+    for start in range(0, n, _VOTE_BATCH):
+        draws = draw_noise(rng, min(_VOTE_BATCH, n - start), c.dim, kind).draws.reshape(-1)
         draws *= scale
-        draws += x
-        counts += np.bincount(c.labels(draws), minlength=c.num_classes)
-        remaining -= m
-    return counts
+        draws += shift[:draws.size]
+        labels = c.labels(draws.reshape(-1, c.dim))
+        cut = max(first - start, 0)
+        for row, part in enumerate((labels[:cut], labels[cut:])):
+            if k == 2:  # two classes need no bincount
+                ones = np.count_nonzero(part)
+                counts[row] += (part.size - ones, ones)
+            else:
+                counts[row] += np.bincount(part, minlength=k)
+    return counts[1] if split is None else counts
 
 
 def _top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,16 +155,16 @@ def _top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certify(c, x, scale, cfg, kind, rng) -> CertificationOutcome:
+    """n0 selection, then n_cert estimation votes: one ``vote_counts`` call split at n0."""
     if not 0 < scale < np.inf:
         name = "lambda" if kind == NOISE_UNIFORM else "sigma"
         raise ValueError(f"{name} must be positive and finite, got {scale}")
     scale = float(scale)
     rng = rng_for_input(cfg.seed, 0) if rng is None else rng
-    counts0 = vote_counts(c, x, scale, cfg.n0, rng, kind)
-    candidate = int(np.argmax(counts0))
-    counts = vote_counts(c, x, scale, cfg.n_cert, rng, kind)
-    p_lower = binom_lower_confidence(int(counts[candidate]), cfg.n_cert, cfg.alpha_fail)
     samples = cfg.n0 + cfg.n_cert
+    counts0, counts = vote_counts(c, x, scale, samples, rng, kind, split=cfg.n0)
+    candidate = int(np.argmax(counts0))
+    p_lower = binom_lower_confidence(int(counts[candidate]), cfg.n_cert, cfg.alpha_fail)
     if p_lower <= 0.5:
         return CertificationOutcome(ABSTAIN, 0.0, p_lower, samples)
     p_safe = clamp_probability(p_lower)

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special as sps
 
+from smoothcert import classifiers
 from smoothcert.classifiers import (ClassifierHandle, DerivativeUnsupportedError,
                                     TinyMLP,
                                     affine_softmax_classifier,
@@ -413,6 +415,25 @@ class TestLabels:
             labels = c.labels(pts)
             assert labels.shape == (len(pts),) and labels.dtype == np.intp
             assert np.array_equal(labels, np.argmax(c.probs(pts), axis=1))
+
+    def test_probit_tie_threshold_gives_the_argmax_bit_for_bit(self):
+        # u equals the point: 2^20 consecutive doubles on each side of the tie
+        # threshold, the signed zeros and subnormals, infinities and NaN
+        t = classifiers._NDTR_TIE
+        assert sps.ndtr(t) <= 0.5 < sps.ndtr(np.nextafter(t, 1.0))
+        bits = np.float64(t).view(np.int64)
+        near = np.arange(bits - (1 << 20), bits + (1 << 20) + 1).view(np.float64)
+        edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+        c = probit_halfspace_classifier([1.0], 0.0, 1.0)
+        for pts in (near, np.array(edges)):
+            pts = pts[:, None]
+            assert np.array_equal(c.labels(pts), np.argmax(c.probs(pts), axis=1))
+        # points large enough that u = (w.x - b) / s overflows to +-inf
+        c = probit_halfspace_classifier([1.0], 0.0, 1e-300)
+        pts = np.array([[1e300], [-1e300], [1e10], [-1e10], [1e-300], [-1e-300]])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(c.labels(pts), np.argmax(c.probs(pts), axis=1))
+            assert c.labels(pts).tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_boundary_labels(self):
         # ties go to class 0; a point on the closed ball is inside

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import smoothcert
+from smoothcert import cli
 from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
@@ -358,6 +359,23 @@ class TestTrainDemo:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "need --seeds >= 1 and --epochs >= 0" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--n-train", "0"), ("--n-test", "0"),
+                                            ("--n-cert", "99")])
+    def test_sizes_that_do_no_work_are_rejected_before_training(self, monkeypatch,
+                                                                tmp_path, capsys,
+                                                                flag, value):
+        def no_training(**kwargs):
+            raise AssertionError("the demo ran")
+
+        monkeypatch.setattr(cli, "run_training_demo", no_training)
+        out = tmp_path / "demo.json"
+        code = cli_main(["train-demo", "--epochs", "1", flag, value, "--out-json", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need --n-train >= 1, --n-test >= 1 and --n-cert >= 100" in captured.err
         assert not out.exists()
 
 

@@ -17,7 +17,8 @@ from smoothcert.smoothing import (ABSTAIN, CertificationOutcome,
                                   certify_l2, draw_noise, plugin_radii,
                                   proxy_radius, proxy_radius_l1, rng_for_input,
                                   vote_counts)
-from smoothcert.stats import P_CLAMP, binom_lower_confidence, std_normal_quantile
+from smoothcert.stats import (P_CLAMP, binom_lower_confidence, clamp_probability,
+                              std_normal_quantile)
 
 
 class TestConfigAndOutcome:
@@ -80,6 +81,22 @@ def frozen_vote_counts(c, x, scale, n, rng, kind="gaussian"):
     return counts
 
 
+def frozen_certify(c, x, scale, cfg, kind, rng):
+    """_certify before one draw per row: the n0 selection votes and then the
+    n_cert estimation votes, counted by two calls on the row's stream."""
+    counts0 = frozen_vote_counts(c, x, scale, cfg.n0, rng, kind)
+    candidate = int(np.argmax(counts0))
+    counts = frozen_vote_counts(c, x, scale, cfg.n_cert, rng, kind)
+    p_lower = binom_lower_confidence(int(counts[candidate]), cfg.n_cert, cfg.alpha_fail)
+    samples = cfg.n0 + cfg.n_cert
+    if p_lower <= 0.5:
+        return CertificationOutcome(ABSTAIN, 0.0, p_lower, samples)
+    p_safe = clamp_probability(p_lower)
+    radius = scale * (2.0 * p_safe - 1.0 if kind == "uniform"
+                      else std_normal_quantile(p_safe))
+    return CertificationOutcome(candidate, float(max(0.0, radius)), p_lower, samples)
+
+
 # Every built-in at a point and scale where the votes split.
 VOTE_CASES = {
     "constant": (lambda: constant_classifier([0.5, 0.5], dim=2), [0.3, -0.1], 0.5),
@@ -123,6 +140,40 @@ class TestVoteCounts:
                 runs.append((vote_counts(c, x, scale, n, rng, kind).tolist(), rng.random()))
             assert sum(runs[0][0]) == n
             assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_tiled_shift_equals_the_frozen_broadcast(self, dim, kind):
+        rng = np.random.default_rng(dim)
+        x, w = rng.normal(scale=0.5, size=dim), rng.normal(size=dim)
+        for c in (probit_halfspace_classifier(w, float(w @ x), 0.5),
+                  hard_halfspace_classifier(w, float(w @ x)),
+                  nested_ball_classifier(float(np.linalg.norm(x)), dim),
+                  affine_softmax_classifier(rng.normal(size=(3, dim)), rng.normal(size=3)),
+                  mlp_classifier(TinyMLP(dim, 8, 3, rng=rng))):
+            for i, n in enumerate((1, 16385, 40000)):
+                a, b = rng_for_input(11, i), rng_for_input(11, i)
+                got = vote_counts(c, x, 0.7, n, a, kind)
+                assert np.array_equal(got, frozen_vote_counts(c, x, 0.7, n, b, kind))
+                assert a.random() == b.random()
+            if c.kind not in ("affine_softmax", "mlp"):
+                assert np.count_nonzero(got) == 2  # x lies on the boundary
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("name", list(VOTE_CASES))
+    def test_one_split_draw_equals_two_frozen_calls(self, monkeypatch, name, kind):
+        build, x, scale = VOTE_CASES[name]
+        c = build()
+        certify = certify_l1 if kind == "uniform" else certify_l2
+        for n0 in (1, 100, 16383, 16384, 16385):
+            for n_cert in [m for m in sorted({n0, 1000, 100_000}) if m >= n0]:
+                cfg = GaussianCertConfig(n0=n0, n_cert=n_cert, alpha_fail=0.01, seed=n0)
+                b = rng_for_input(cfg.seed, n_cert)
+                want = (frozen_certify(c, x, scale, cfg, kind, b), b.random())
+                for batch in (1000, 1 << 14, 1 << 16):
+                    monkeypatch.setattr(smoothing, "_VOTE_BATCH", batch)
+                    a = rng_for_input(cfg.seed, n_cert)
+                    assert (certify(c, x, scale, cfg, rng=a), a.random()) == want
 
     @pytest.mark.parametrize("name", ["hard_halfspace", "probit_halfspace",
                                       "nested_ball"])
