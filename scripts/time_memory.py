@@ -14,6 +14,12 @@ overlap the store:
   volume, each radius 0.45 times the distance to the nearest
   differently-predicted center; the inserted regions are drawn the same way
   with radius 1 and shrink or are overridden.
+- ``dense`` (d=2 only): the regime of the ``warm_memory`` benchmark's prior.
+  Centers fill the radius-2.6 disk and predict 0 inside radius 1.2, else 1;
+  each radius is at most 0.05 and below 0.45 times the distance to the
+  nearest differently-predicted center. The inserted regions have radius 0.3
+  and predict 1 where x0 > 0, so each meets about 45 stored regions and is
+  overridden or shrunk about 2.7 times.
 
 Each figure is the median over ``--repeats`` runs, followed by the range.
 Only the public ``smoothcert.memory`` API is used, so the script times any
@@ -38,7 +44,8 @@ def lattice_store(n, d, rng):
     centers[:, 0] = np.arange(n)
     probes = centers.copy()
     probes[:, 0] += 0.5
-    return centers, np.full(n, 0.45), np.arange(n) % 3, probes, 0.45
+    preds = np.arange(n) % 3
+    return centers, np.full(n, 0.45), preds, probes, preds + 1, 0.45
 
 
 def nearest_other(centers, preds, chunk=500):
@@ -58,7 +65,21 @@ def random_store(n, d, rng):
     centers = rng.uniform(0.0, side, size=(n, d))
     preds = rng.integers(0, 3, size=n)
     radii = 0.45 * nearest_other(centers, preds)
-    return centers, radii, preds, rng.uniform(0.0, side, size=(n, d)), 1.0
+    return centers, radii, preds, rng.uniform(0.0, side, size=(n, d)), preds + 1, 1.0
+
+
+def disk(n, rng):
+    rad, ang = 2.6 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+
+
+def dense_store(n, d, rng):
+    centers = disk(n, rng)
+    preds = (np.linalg.norm(centers, axis=1) > 1.2).astype(int)
+    radii = (np.minimum(0.45 * nearest_other(centers, preds), 0.05)
+             * rng.uniform(0.2, 1.0, size=n))
+    probes = disk(n, rng)
+    return centers, radii, preds, probes, (probes[:, 0] > 0).astype(int), 0.3
 
 
 def write_memory(path, centers, radii, preds):
@@ -79,6 +100,7 @@ def main() -> int:
     ap.add_argument("--lattice-sizes", type=int, nargs="*",
                     default=[1_000, 10_000, 100_000])
     ap.add_argument("--random-sizes", type=int, nargs="*", default=[1_000, 10_000])
+    ap.add_argument("--dense-sizes", type=int, nargs="*", default=[3_000])
     ap.add_argument("--inserts", type=int, default=200,
                     help="regions inserted per repeat")
     ap.add_argument("--repeats", type=int, default=3)
@@ -86,14 +108,15 @@ def main() -> int:
 
     print(f"{'store':<8} {'d':>3} {'N':>7}  {'load us/region':>22}  "
           f"{'save us/region':>22}  {'insert us/call':>22}")
-    jobs = ([("lattice", lattice_store, n) for n in args.lattice_sizes]
-            + [("random", random_store, n) for n in args.random_sizes])
+    jobs = ([("lattice", lattice_store, n, (2, 16)) for n in args.lattice_sizes]
+            + [("random", random_store, n, (2, 16)) for n in args.random_sizes]
+            + [("dense", dense_store, n, (2,)) for n in args.dense_sizes])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "memory.jsonl"
-        for name, build, n in jobs:
-            for d in (2, 16):
+        for name, build, n, dims in jobs:
+            for d in dims:
                 rng = np.random.default_rng(0)
-                centers, radii, preds, probes, probe_radius = build(n, d, rng)
+                centers, radii, preds, probes, probe_preds, probe_radius = build(n, d, rng)
                 write_memory(path, centers, radii, preds)
                 loads, saves, inserts = [], [], []
                 for _ in range(args.repeats):
@@ -104,8 +127,8 @@ def main() -> int:
                     save_memory(store, path)
                     saves.append(time.perf_counter() - t0)
                     k = rng.choice(n, size=min(args.inserts, n), replace=False)
-                    regions = [CertifiedRegion(tuple(c), probe_radius, int(p) + 1, 0.25)
-                               for c, p in zip(probes[k].tolist(), preds[k].tolist())]
+                    regions = [CertifiedRegion(tuple(c), probe_radius, p, 0.25)
+                               for c, p in zip(probes[k].tolist(), probe_preds[k].tolist())]
                     t0 = time.perf_counter()
                     for r in regions:
                         memory_insert(store, r)

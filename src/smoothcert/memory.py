@@ -4,26 +4,21 @@ Each certified input is stored as a closed ball. New regions are compared
 against the stored regions in insertion order: a center falling inside a
 differently-predicted ball has its prediction overridden and its region
 shrunk to the largest ball inside both; a mere overlap shrinks the region to
-the largest ball clear of the obstacle. Same-prediction overlaps are left
-untouched. Boundary contact does not count as overlap, which maximizes the
-retained radius and keeps the shrink formulas exact. ``_shrink`` is the one
-place this rule is written; ``memory_insert`` and the ``largest_*_subset``
-helpers all apply it.
+the largest ball clear of the obstacle. Same-prediction overlaps and boundary
+contact are left untouched, which keeps the shrink formulas exact; ``_shrink``
+is the one place this rule is written. The formulas hold for L2 and L1 balls
+in any dimension: by the triangle inequality a ball of radius R - ||c - c'||
+at c' lies inside the ball of radius R at c, and balls with
+||c - c'|| >= r + r' share no interior point.
 
-The formulas hold for L2 and L1 balls in any dimension: by the triangle
-inequality a ball of radius R - ||c - c'|| at c' lies inside the ball of
-radius R at c, and balls with ||c - c'|| >= r + r' share no interior point.
-
-The store keeps its regions only as numpy arrays; ``CertifiedRegion``
-objects exist only where regions enter or leave it. A memory file is read in
-one pass that checks each line in full as it is read, and written one
-formatted line per region. Every overlap decision is made in two steps. A
-vectorised numpy screen over the stored centers and radii keeps the entries
-that could touch, with a margin of ``_SCREEN_EPS`` (relative and absolute)
-that covers the rounding gap between numpy and ``math.dist``; the exact
-scalar test then runs over those entries only, in insertion order (on
-insert) or in (i, j) order (on load), so the results equal those of a full
-scalar scan.
+The store keeps its regions only as numpy arrays. A memory file is parsed
+line by line and checked as columns, and written one formatted line per
+region. Every overlap decision is a numpy screen that keeps each entry that
+could touch, then the exact scalar test over those in insertion order (on
+insert) or in (i, j) order (on load), so results equal a full scalar scan's.
+On insert that screen is one matrix-vector product over cached squared norms
+(an L2 screen, valid for L1 stores since ||x||_2 <= ||x||_1), and each entry
+it keeps is screened again against the region's current radius.
 """
 
 from __future__ import annotations
@@ -31,34 +26,30 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-__all__ = [
-    "CertifiedRegion",
-    "MemoryStore",
-    "MemoryInvariantError",
-    "largest_in_subset",
-    "largest_out_subset",
-    "memory_insert",
-    "save_memory",
-    "load_memory",
-    "audit",
-]
+__all__ = ["CertifiedRegion", "MemoryStore", "MemoryInvariantError", "largest_in_subset",
+           "largest_out_subset", "memory_insert", "save_memory", "load_memory", "audit"]
 
-NORM_L2 = "l2"
-NORM_L1 = "l1"
+NORM_L2, NORM_L1 = "l2", "l1"
 
 # Slack used when validating the no-overlap invariant; shrunken radii are
 # exact min() formulas, so violations beyond a few ulps indicate real bugs.
 _INVARIANT_TOL = 1e-9
 
-# Screen margin. numpy's sum of squares (or of absolute values) differs from
-# math.dist and the scalar L1 sum by a few ulps per coordinate, far below
-# this in any dimension under 10^6.
-_SCREEN_EPS = 1e-9
+# Screen margin: numpy's distances differ from math.dist and the scalar L1
+# sum by a few ulps per coordinate, far below this for d < 10^6. The insert
+# screen's slack, 2 eps (|c_i|^2 + |c|^2 + r_i^2 + r^2) + _SCREEN_TINY, bounds
+# its cancellation and underflow; a ball with |c|^2 + r^2 > _SCREEN_BIG is
+# always a hit, so no sum in the product overflows.
+_SCREEN_EPS, _SCREEN_TINY, _SCREEN_BIG = 1e-9, 1e-300, 1e300
 
 _NUMBERS = {int, float}  # the types json gives JSON numbers; bool is not one
+_FIELDS = itemgetter("center", "radius", "prediction", "sigma", "norm")
+_JSON_WS = " \t\n\r"
 
 
 class MemoryInvariantError(ValueError):
@@ -79,9 +70,8 @@ class CertifiedRegion:
         object.__setattr__(self, "radius", float(self.radius))
         if not (all(map(math.isfinite, self.center)) and math.isfinite(self.radius)
                 and math.isfinite(self.sigma_used)):
-            raise ValueError(
-                "center, radius and sigma_used must be finite, got center="
-                f"{self.center}, radius={self.radius}, sigma_used={self.sigma_used}")
+            raise ValueError("center, radius and sigma_used must be finite, got center="
+                             f"{self.center}, radius={self.radius}, sigma_used={self.sigma_used}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.prediction < 0:
@@ -97,9 +87,7 @@ class CertifiedRegion:
 
 
 def _distance(u, v, norm: str) -> float:
-    if norm == NORM_L2:
-        return math.dist(u, v)
-    return sum(abs(a - b) for a, b in zip(u, v))
+    return math.dist(u, v) if norm == NORM_L2 else sum(abs(a - b) for a, b in zip(u, v))
 
 
 def _row_distances(diff: np.ndarray, norm: str) -> np.ndarray:
@@ -109,13 +97,13 @@ def _row_distances(diff: np.ndarray, norm: str) -> np.ndarray:
     return np.abs(diff).sum(axis=1)
 
 
-def _within(dist: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """Screen: True wherever the exact distance may be <= limit.
-
-    An infinite numpy distance (squares overflowing) is kept, since the exact
-    distance may still be finite; callers silence the overflow warnings.
-    """
-    return (dist <= limit * (1.0 + _SCREEN_EPS) + _SCREEN_EPS) | np.isinf(dist)
+def _screen_term(center, radius: float) -> float:
+    """|c|^2 (1 - 2 eps) - r^2 (1 + 2 eps), or -inf (always a hit) above _SCREEN_BIG;
+    ``MemoryStore._use`` computes the same for many balls."""
+    h = math.hypot(*center)
+    sq, rr = h * h, radius * radius
+    return (sq * (1.0 - 2.0 * _SCREEN_EPS) - rr * (1.0 + 2.0 * _SCREEN_EPS)
+            if sq + rr <= _SCREEN_BIG else -math.inf)
 
 
 def _check_compatible(a: tuple[str, int], b: tuple[str, int]) -> None:
@@ -127,13 +115,11 @@ def _check_compatible(a: tuple[str, int], b: tuple[str, int]) -> None:
 
 
 def _shrink(d: float, r_entry: float, radius: float) -> tuple[float, bool] | None:
-    """The overlap rule for a region of ``radius`` whose center lies at
-    distance ``d`` from a differently-predicted entry of radius ``r_entry``.
-
-    Returns (new radius, whether the region takes the entry's prediction), or
-    None when the two balls do not overlap. A center inside the entry keeps
-    min(radius, r_entry - d); any other overlap keeps min(radius, d - r_entry).
-    """
+    """The overlap rule for a region of ``radius`` at distance ``d`` from a
+    differently-predicted entry of radius ``r_entry``: (new radius, whether the
+    region takes the entry's prediction), or None when the balls do not overlap.
+    A center inside the entry keeps min(radius, r_entry - d), else min(radius,
+    d - r_entry)."""
     if d <= r_entry:
         return max(0.0, min(radius, r_entry - d)), True
     if d < r_entry + radius:
@@ -142,32 +128,24 @@ def _shrink(d: float, r_entry: float, radius: float) -> tuple[float, bool] | Non
 
 
 def largest_in_subset(outer: CertifiedRegion, cand: CertifiedRegion) -> float:
-    """Radius of the largest ball at cand.center inside both outer and cand.
-
-    Requires cand.center to lie in the outer ball; the answer is
-    min(cand.radius, outer.radius - distance).
-    """
+    """Radius of the largest ball at cand.center inside both outer and cand:
+    min(cand.radius, outer.radius - distance), for cand.center in outer."""
     _check_compatible((outer.norm, outer.dim), (cand.norm, cand.dim))
     d = _distance(outer.center, cand.center, outer.norm)
     if d > outer.radius:
-        raise ValueError(
-            f"candidate center lies outside the outer ball (distance {d} > "
-            f"radius {outer.radius})")
+        raise ValueError(f"candidate center lies outside the outer ball (distance {d} > "
+                         f"radius {outer.radius})")
     return _shrink(d, outer.radius, cand.radius)[0]
 
 
 def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> float:
-    """Radius of the largest ball at cand.center inside cand but clear of obstacle.
-
-    Requires cand.center to lie outside the obstacle; the answer is
-    min(cand.radius, distance - obstacle.radius).
-    """
+    """Radius of the largest ball at cand.center inside cand but clear of obstacle:
+    min(cand.radius, distance - obstacle.radius), for cand.center outside it."""
     _check_compatible((obstacle.norm, obstacle.dim), (cand.norm, cand.dim))
     d = _distance(obstacle.center, cand.center, obstacle.norm)
     if d <= obstacle.radius:
-        raise ValueError(
-            f"candidate center lies inside the obstacle (distance {d} <= "
-            f"radius {obstacle.radius})")
+        raise ValueError(f"candidate center lies inside the obstacle (distance {d} <= "
+                         f"radius {obstacle.radius})")
     shrunk = _shrink(d, obstacle.radius, cand.radius)
     return cand.radius if shrunk is None else shrunk[0]
 
@@ -175,35 +153,29 @@ def largest_out_subset(obstacle: CertifiedRegion, cand: CertifiedRegion) -> floa
 class MemoryStore:
     """Ordered region collection; single-writer, cross-prediction disjoint.
 
-    The record is four arrays in insertion order, grown by doubling:
-    centers (N, d), radii, predictions and sigmas, plus the one ``norm`` of
-    the store (None while it is empty). ``regions`` builds the list of
+    The record is three arrays in insertion order, grown by doubling: the
+    column-major ``_screen`` (N, d + 2) of centers, radii and ``_screen_term``
+    (``_centers`` and ``_radii`` are views of it), predictions and sigmas,
+    plus the one ``norm`` (None while empty). ``regions`` builds the list of
     ``CertifiedRegion`` from them on each access. Only ``memory_insert``
-    (through ``_append``) and ``load_memory`` write.
-
-    Insertions are strictly serialized because overlap handling is order
-    sensitive; reads may run concurrently between insertions.
+    (through ``_append``) and ``load_memory`` write. Insertions are strictly
+    serialized (overlap handling is order sensitive); reads may run between.
     """
 
     def __init__(self):
-        self.norm: str | None = None
+        self.norm: str | None = None  # of every region; None while empty
         self._size = 0
-        self._centers = np.empty((0, 0))
-        self._radii = np.empty(0)
-        self._preds = np.empty(0, dtype=np.int64)
-        self._sigmas = np.empty(0)
-        self.insertions = 0
-        self.comparisons = 0
-        self.overlap_events = 0
-        self.adjusted_insertions = 0
+        self._use(np.empty((0, 1)), (), (), (), 0)
+        self.insertions = self.comparisons = 0
+        self.overlap_events = self.adjusted_insertions = 0
 
     def __len__(self) -> int:
         return self._size
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MemoryStore):
-            return NotImplemented
-        return self.regions == other.regions
+        if isinstance(other, MemoryStore):
+            return self.regions == other.regions
+        return NotImplemented
 
     @property
     def dim(self) -> int | None:
@@ -217,23 +189,31 @@ class MemoryStore:
 
     def _rows(self):
         """(center list, radius, prediction, sigma) per region, as Python scalars."""
-        n = self._size
-        return zip(self._centers[:n].tolist(), self._radii[:n].tolist(),
-                   self._preds[:n].tolist(), self._sigmas[:n].tolist())
+        return zip(*(v[:self._size].tolist()
+                     for v in (self._centers, self._radii, self._preds, self._sigmas)))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _use(self, centers: np.ndarray, radii, preds, sigmas, capacity: int) -> None:
+        """Hold the given n regions (centers (n, d)) in new arrays of ``capacity`` rows."""
+        n = len(radii)
+        self._screen = np.empty((capacity, centers.shape[1] + 2), order="F")
+        self._centers, self._radii = self._screen[:, :-2], self._screen[:, -2]
+        self._preds, self._sigmas = np.empty(capacity, dtype=np.int64), np.empty(capacity)
+        self._centers[:n], self._radii[:n] = centers, radii
+        self._preds[:n], self._sigmas[:n] = preds, sigmas
+        sq, rr = np.einsum("ij,ij->i", centers, centers), self._radii[:n] ** 2
+        self._screen[:n, -1] = np.where(sq + rr <= _SCREEN_BIG, sq * (1.0 - 2.0 * _SCREEN_EPS)
+                                        - rr * (1.0 + 2.0 * _SCREEN_EPS), -np.inf)
 
     def _append(self, region: CertifiedRegion) -> None:
         n = self._size
-        if n == len(self._radii):
-            capacity = max(16, 2 * n)
-            self._centers = np.resize(self._centers, (capacity, region.dim))
-            self._radii, self._preds, self._sigmas = (
-                np.resize(v, capacity) for v in (self._radii, self._preds, self._sigmas))
-        self._centers[n] = region.center
-        self._radii[n] = region.radius
-        self._preds[n] = region.prediction
-        self._sigmas[n] = region.sigma_used
-        self.norm = region.norm
-        self._size = n + 1
+        if n == len(self._preds):
+            self._use(self._centers[:n].reshape(n, region.dim), self._radii[:n],
+                      self._preds[:n], self._sigmas[:n], max(16, 2 * n))
+        self._screen[n] = (*region.center, region.radius,
+                           _screen_term(region.center, region.radius))
+        self._preds[n], self._sigmas[n] = region.prediction, region.sigma_used
+        self.norm, self._size = region.norm, n + 1
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,50 +221,48 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
                   ) -> tuple[int, CertifiedRegion, bool]:
     """Insert a freshly certified region, shrinking it against the memory.
 
-    Scans stored regions in insertion order, applying ``_shrink`` to each
-    differently-predicted entry: a new center inside the entry takes the
-    entry's prediction and shrinks to the largest ball inside both; any other
-    overlap shrinks the region to the largest ball clear of the entry.
-    Returns (final prediction, final region, adjusted).
-
-    Only entries within r_entry + r of the new center can act (the region
-    only shrinks), so the scan visits just the entries the screen keeps. The
-    screen ignores predictions, because an override changes the prediction
-    mid-scan. ``comparisons`` still counts every stored region.
+    Applies ``_shrink`` to each differently-predicted entry in insertion
+    order and returns (final prediction, final region, adjusted). Only
+    entries within r_entry + r can act (the region only shrinks): one product
+    ``_screen @ v`` keeps those, whatever their prediction, since an override
+    changes it mid-scan. The scan then skips a kept entry of the current
+    prediction or whose numpy distance clears the current radius, and runs
+    ``_shrink`` on the rest. ``comparisons`` adds N as a full scan does, not the checks run.
     """
-    n = len(store)
-    hits = []
-    if n:
-        _check_compatible((store.norm, store.dim), (region.norm, region.dim))
-        dist = _row_distances(store._centers[:n] - np.asarray(region.center),
-                              region.norm)
-        hits = np.flatnonzero(_within(dist, store._radii[:n] + region.radius))
-    store.comparisons += n
+    n, norm = len(store), region.norm
     radius, prediction = region.radius, region.prediction
     adjusted = overridden = False
-    for center, r_entry, p_entry in zip(store._centers[hits].tolist(),
-                                        store._radii[hits].tolist(),
-                                        store._preds[hits].tolist()):
-        if p_entry == prediction:
-            continue
-        shrunk = _shrink(_distance(center, region.center, region.norm), r_entry, radius)
-        if shrunk is None:
-            continue
-        new_r, inside = shrunk
-        if overridden and new_r < radius - _INVARIANT_TOL:
-            raise MemoryInvariantError(
-                "a second differently-predicted entry forced shrinking "
-                "after a prediction override; the store invariant is broken")
-        radius = new_r
-        if inside:  # center inside: take the entry's prediction
-            prediction, overridden = p_entry, True
-        adjusted = True
-        store.overlap_events += 1
+    if n:
+        _check_compatible((store.norm, store.dim), (norm, region.dim))
+        v = np.array([*(-2.0 * x for x in region.center), -2.0 * radius, 1.0])
+        bound = _SCREEN_TINY - _screen_term(region.center, radius)
+        hits = np.flatnonzero(~(store._screen[:n] @ v > bound))  # NaN is a hit
+        dist = _row_distances(store._centers[hits] - region.center, norm)
+        for i, d, r_entry, p_entry in zip(hits.tolist(), dist.tolist(),
+                                          store._radii[hits].tolist(),
+                                          store._preds[hits].tolist()):
+            if p_entry == prediction or math.inf > d > (
+                    r_entry + radius) * (1.0 + _SCREEN_EPS) + _SCREEN_EPS:
+                continue  # an infinite numpy distance may be finite: tested
+            shrunk = _shrink(_distance(store._centers[i].tolist(), region.center, norm),
+                             r_entry, radius)
+            if shrunk is None:
+                continue
+            new_r, inside = shrunk
+            if overridden and new_r < radius - _INVARIANT_TOL:
+                raise MemoryInvariantError("a second differently-predicted entry forced "
+                                           "shrinking after a prediction override; the "
+                                           "store invariant is broken")
+            radius = new_r
+            if inside:  # center inside: take the entry's prediction
+                prediction, overridden = p_entry, True
+            adjusted = True
+            store.overlap_events += 1
+    store.comparisons += n
     cand = replace(region, radius=radius, prediction=prediction) if adjusted else region
     store._append(cand)
     store.insertions += 1
-    if adjusted:
-        store.adjusted_insertions += 1
+    store.adjusted_insertions += adjusted
     return cand.prediction, cand, adjusted
 
 
@@ -292,12 +270,11 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
 def _validate_invariant(store: MemoryStore) -> None:
     """Raise on the first pair (i < j) of overlapping differently-predicted regions.
 
-    Both norms bound |x0 - x0'|, so only pairs whose first-coordinate
-    intervals [x0 - r, x0 + r] (padded against rounding) meet can overlap;
-    sorted by lower end, positions a and a+k meet for k <= reach[a]. One
-    numpy screen per offset k over the pairs (a, a+k) keeps temporaries O(N);
-    the exact test runs over its survivors in (i, j) order, and only pairs
-    before the first overlap found so far stay in play.
+    Both norms bound |x0 - x0'|, so only pairs whose padded intervals
+    [x0 - r, x0 + r] meet can overlap; sorted by lower end, positions a and
+    a+k meet for k <= reach[a]. One numpy screen per offset k keeps
+    temporaries O(N); the exact test runs over its survivors in (i, j) order,
+    and only pairs before the first overlap found so far stay in play.
     """
     n, norm = len(store), store.norm
     if n < 2:
@@ -313,8 +290,9 @@ def _validate_invariant(store: MemoryStore) -> None:
     a, k = np.flatnonzero(reach > 0), 1
     while a.size:  # sorted positions a and a + k
         s = a[preds[a] != preds[a + k]]
-        s = s[_within(_row_distances(centers[s] - centers[s + k], norm),
-                      radii[s] + radii[s + k] - _INVARIANT_TOL)]
+        dist = _row_distances(centers[s] - centers[s + k], norm)  # inf may be finite
+        s = s[(dist <= (radii[s] + radii[s + k] - _INVARIANT_TOL) * (1.0 + _SCREEN_EPS)
+               + _SCREEN_EPS) | np.isinf(dist)]
         i, j = np.minimum(order[s], order[s + k]), np.maximum(order[s], order[s + k])
         if first is not None:
             ahead = (i < first[0]) | ((i == first[0]) & (j < first[1]))
@@ -327,8 +305,8 @@ def _validate_invariant(store: MemoryStore) -> None:
         k += 1
         a = a[reach[a] >= k]
     if first is not None:
-        raise MemoryInvariantError(
-            f"regions {first[0]} and {first[1]} predict differently but overlap")
+        raise MemoryInvariantError(f"regions {first[0]} and {first[1]} predict "
+                                   "differently but overlap")
 
 
 def save_memory(store: MemoryStore, path) -> None:
@@ -341,11 +319,9 @@ def save_memory(store: MemoryStore, path) -> None:
 
 
 def _checked_row(obj: dict, first: tuple | None) -> tuple:
-    """(center, radius, prediction, sigma, norm) of a memory-file line, checked
-    in full: JSON types, norm and dimension against ``first``, then finite
-    values and radius >= 0."""
-    row = center, radius, pred, sigma, norm = (
-        obj["center"], obj["radius"], obj["prediction"], obj["sigma"], obj["norm"])
+    """(center, radius, prediction, sigma, norm) of a memory-file line: JSON types,
+    norm and dimension against ``first``, then finite values and radius >= 0."""
+    row = center, radius, pred, sigma, norm = _FIELDS(obj)
     if type(pred) is not int or not 0 <= pred < 2**63:  # stored as int64
         raise ValueError(f"prediction must be a JSON integer in [0, 2**63), got {pred!r}")
     if type(center) is not list or not center or not {*map(type, center)} <= _NUMBERS:
@@ -365,45 +341,69 @@ def _checked_row(obj: dict, first: tuple | None) -> tuple:
     return row
 
 
+def _parsed_columns(lines):
+    """(centers, radii, predictions, sigmas, norms) of a memory file's lines, or
+    None unless each non-blank one is a JSON object that ``_checked_row`` passes."""
+    decode, rows = json.JSONDecoder().raw_decode, []
+    for line in lines:
+        if line := line.strip(_JSON_WS):
+            obj, end = decode(line)
+            if end != len(line):
+                return None
+            rows.append(_FIELDS(obj))
+    if not rows:
+        return ()
+    centers, radii, preds, sigmas, norms = zip(*rows)
+    if not ({*map(type, preds)} <= {int} and 0 <= min(preds) and max(preds) < 2**63
+            and {*map(type, centers)} == {list} and {*map(len, centers)} == {len(centers[0])}
+            and centers[0] and {*map(type, chain.from_iterable(centers))} <= _NUMBERS
+            and {*map(type, radii), *map(type, sigmas)} <= _NUMBERS
+            and norms[0] in (NORM_L2, NORM_L1) and norms.count(norms[0]) == len(norms)):
+        return None
+    centers, radii, sigmas = (np.asarray(v, dtype=float) for v in (centers, radii, sigmas))
+    if not (np.isfinite(centers).all() and np.isfinite(radii).all()
+            and np.isfinite(sigmas).all() and (radii >= 0).all()):
+        return None
+    return centers, radii, preds, sigmas, norms
+
+
 def load_memory(path) -> MemoryStore:
     """Read a JSON-lines memory file, re-validating the no-overlap invariant.
 
-    One pass checks each line in full as it is read (JSON types, the first
-    line's norm and dimension, finite values, radius >= 0; an integer beyond
-    float range fails too) and raises on the first bad line, naming path and
-    line. Then the first overlapping differently-predicted pair (i < j) is named.
+    Every line is checked in full as columns (JSON types, the first line's
+    norm and dimension, finite values, radius >= 0). A file that fails is read
+    again line by line to raise on the first bad line, naming path and line.
+    Then the first overlapping differently-predicted pair (i < j) is named.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if line.strip():
-                    rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            columns = _parsed_columns(fh)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        columns = None
+    if columns is None:
+        rows = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    if line.strip():
+                        rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
+        columns = tuple(zip(*rows))
     store = MemoryStore()
-    if rows:
-        centers, radii, preds, sigmas, norms = zip(*rows)
-        store._centers, store._radii, store._sigmas = (
-            np.asarray(v, dtype=float) for v in (centers, radii, sigmas))
-        store._preds = np.asarray(preds, dtype=np.int64)
-        store.norm, store._size = norms[0], len(rows)
+    if columns:
+        centers, radii, preds, sigmas, norms = columns
+        store._use(np.asarray(centers, dtype=float), radii, preds, sigmas, len(radii))
+        store.norm, store._size = norms[0], len(radii)
     _validate_invariant(store)
     return store
 
 
 def audit(store: MemoryStore, cert_sample_cost: int = 100_000) -> dict:
-    """Overlap and cost report for the current store.
-
-    ``predicted_cost`` evaluates the expected per-insert work
-    N*p + (1-p)*(2N + n) at the observed overlap frequency p, where N is the
-    store size and n the Monte Carlo cost of one certification.
-    """
-    n_regions = len(store)
-    p = (store.adjusted_insertions / store.insertions) if store.insertions else 0.0
-    cost = n_regions * p + (1.0 - p) * (2.0 * n_regions + cert_sample_cost)
-    return {
-        "overlap_events": store.overlap_events,
-        "comparisons": store.comparisons,
-        "predicted_cost": cost,
-    }
+    """Overlap and cost report for the current store. ``predicted_cost`` is the
+    expected per-insert work N*p + (1-p)*(2N + n) at the observed overlap
+    frequency p, with N the store size and n the Monte Carlo cost of one
+    certification."""
+    n, p = len(store), store.adjusted_insertions / max(store.insertions, 1)
+    return {"overlap_events": store.overlap_events, "comparisons": store.comparisons,
+            "predicted_cost": n * p + (1.0 - p) * (2.0 * n + cert_sample_cost)}

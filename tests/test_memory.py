@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def insert_both(store, ref, r):
     return got
 
 
+def insert_both_or_raise(store, ref, r):
+    """``insert_both``, or None when both copies find the store invariant broken
+    (rounding far from the origin can leave an overlap above the tolerance)."""
+    try:
+        got = memory_insert(store, r)
+    except MemoryInvariantError:
+        with pytest.raises(MemoryInvariantError):
+            ref_insert(ref, r)
+        return None
+    assert got == ref_insert(ref, r)
+    assert store.regions == ref.regions
+    assert counters(store) == counters(ref)
+    return got
+
+
 def write_regions(path, regions):
     path.write_text("".join(
         json.dumps({"center": list(r.center), "radius": r.radius,
@@ -141,6 +157,50 @@ def crowded_regions(rng, d, norm, n):
                    typical * 10.0 ** rng.uniform(-1.5, 0.3), int(rng.integers(0, 3)),
                    norm=norm)
             for _ in range(n)]
+
+
+def translated_regions(rng, k, d, norm, n):
+    """n small regions in [-1, 1]^d, then n // 4 probes whose radius, 0.7 times
+    the typical distance, meets a few differently-predicted ones (every other
+    probe centered on one), all moved by 10**k on every axis; beyond 10**8 the
+    shape is scaled by 10**(k - 6), so that rounding does not merge centers."""
+    typical = math.sqrt(2.0 * d / 3.0) if norm == "l2" else 2.0 * d / 3.0
+    regions = [region(rng.uniform(-1.0, 1.0, size=d), typical * rng.uniform(0.01, 0.15),
+                      int(rng.integers(0, 3)), norm=norm) for _ in range(n)]
+    for j in range(n // 4):
+        center = regions[rng.integers(n)].center if j % 2 else rng.uniform(-1.0, 1.0, size=d)
+        regions.append(region(center, 0.7 * typical, int(rng.integers(0, 3)), norm=norm))
+    scale = 1.0 if k <= 8 else 10.0 ** (k - 6)
+    return [replace(r, center=tuple(10.0 ** k + scale * np.asarray(r.center)),
+                    radius=scale * r.radius) for r in regions]
+
+
+# Lines for files whose load outcome must not depend on which path checks them.
+_GOOD = '{{"center": [{}], "radius": 0.5, "prediction": {}, "sigma": 0.25, "norm": "l2"}}'
+LINE_VARIANTS = [
+    _GOOD.format("0.0", 0), _GOOD.format("10.0", 1), _GOOD.format("20", 2),
+    _GOOD.format("0.25", 1), "", "  \t", "\x0b", "\u00a0", "\x0b" + _GOOD.format("30.0", 0),
+    " " + _GOOD.format("40.0", 1) + "\t", _GOOD.format("50.0", 0) + " " + _GOOD.format("60.0", 1),
+    _GOOD.format("70.0", 0)[:-1], "[]", "1", '"x"', "null", "{}",
+    '{"center": [80.0], "radius": 0.5, "prediction": 0, "sigma": 0.25}',
+    '{"center": [90.0], "radius": 0.5, "prediction": 0, "sigma": 0.25, "norm": "l2", "x": 1}',
+    _GOOD.format("100.0", "true"), _GOOD.format("110.0", "1.0"), _GOOD.format("120.0", -1),
+    _GOOD.format("130.0", 2**63), _GOOD.format("", 0), _GOOD.format("true", 0),
+    _GOOD.format("140.0, 1.0", 0), _GOOD.format("Infinity", 0), _GOOD.format("1e400", 1),
+    _GOOD.format("9" * 401, 0), _GOOD.format("150.0", 0).replace('"l2"', '"l1"'),
+    _GOOD.format("160.0", 0).replace('"l2"', '"L2"'),
+    _GOOD.format("170.0", 0).replace("0.5", "-0.0"), _GOOD.format("180.0", 0).replace("0.5", "-1"),
+    _GOOD.format("190.0", 0).replace("0.25", "NaN"), _GOOD.format("200.0", 0).replace("0.5", "1"),
+    '{"center": "12", "radius": 0.5, "prediction": 0, "sigma": 0.25, "norm": "l2"}',
+]
+
+
+def load_outcome(path):
+    """The regions ``load_memory`` returns, or the type and text of its error."""
+    try:
+        return load_memory(path).regions
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestRegion:
@@ -500,6 +560,18 @@ class TestAgainstReferenceScan:
         with pytest.raises(MemoryInvariantError, match="regions 0 and 1"):
             load_memory(path)
 
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("entry,cand", [
+        (((1.5e154, 0.0), 9e153), ((0.0, 0.0), 9e153)),     # only |c_i|^2 overflows
+        (((1e160, 0.0), 1.5e160), ((-1e160, 0.0), 1e160)),  # the product is inf - inf
+    ])
+    def test_screen_terms_overflowing(self, entry, cand, norm):
+        # each pair overlaps, though a term of the insert screen is infinite
+        store, ref = MemoryStore(), RefStore()
+        insert_both(store, ref, region(*entry, 0, norm=norm))
+        pred, final, adjusted = insert_both(store, ref, region(*cand, 1, norm=norm))
+        assert adjusted and final.radius < cand[1]
+
     @pytest.mark.parametrize("norm,radii", [("l2", (2.0, 3.0)), ("l1", (3.0, 4.0))])
     @pytest.mark.parametrize("d", [2, 16])
     def test_centers_far_from_the_origin(self, tmp_path, d, norm, radii):
@@ -527,6 +599,32 @@ class TestAgainstReferenceScan:
         write_regions(path, [first, second])
         with pytest.raises(MemoryInvariantError, match="regions 0 and 1"):
             load_memory(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([0, 3, 8, 150, 160]), st.sampled_from([1, 2, 16]),
+           st.sampled_from(["l2", "l1"]))
+    def test_translated_stores_match(self, seed, k, d, norm):
+        # far from the origin |c_i|^2 + |c|^2 - 2 c_i.c cancels (10**8) or its
+        # terms pass 1e300 and overflow (10**150, 10**160), and each probe
+        # meets several entries, so the screen's slack, its overflow guard
+        # and the re-screen after each adjustment are all exercised
+        store, ref = MemoryStore(), RefStore()
+        for r in translated_regions(np.random.default_rng(seed), k, d, norm, 40):
+            if insert_both_or_raise(store, ref, r) is None:
+                break
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("k", [0, 3, 8, 150, 160])
+    def test_translated_stores_override_and_shrink(self, k, d, norm):
+        store, ref = MemoryStore(), RefStore()
+        overrides = shrinks = 0
+        for r in translated_regions(np.random.default_rng(0), k, d, norm, 40):
+            pred, final, _ = insert_both(store, ref, r)  # the invariant holds here
+            overrides += pred != r.prediction
+            shrinks += pred == r.prediction and final.radius < r.radius
+        assert overrides > 0 and shrinks > 0
 
     def test_shrink_after_override_by_an_entry_of_the_original_prediction(
             self, tmp_path):
@@ -772,6 +870,55 @@ class TestPersistence:
             'not json\n')
         with pytest.raises(ValueError, match="line 1: .*radius >= 0"):
             load_memory(path)
+
+    def test_lines_that_join_into_valid_json_are_rejected(self, tmp_path):
+        # joined as "[" + ",".join(lines) + "]" these three lines are three
+        # valid objects; line by line, line 1 is cut short
+        good = '{"center": [5.0], "radius": 0.1, "prediction": 1, "sigma": 0.1, "norm": "l2"}'
+        path = tmp_path / "memory.jsonl"
+        path.write_text('{"center": [0.0], "radius": 0.1, "prediction": 0, "sigma": 0.1, '
+                        '"norm": "l2", "x": [{}\n{}]}\n' + good + ", " + good + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_memory(path)
+        assert str(exc.value) == (f"{path}: bad region on line 1: "
+                                  "Expecting ',' delimiter: line 2 column 1 (char 87)")
+
+    @pytest.mark.parametrize("space", ["\x0b", "\u00a0", "\u2003"])
+    def test_whitespace_that_json_does_not_accept(self, tmp_path, space):
+        # str.strip removes these characters but JSON does not: a line of them
+        # alone is blank, a region wrapped in them does not parse
+        path = tmp_path / "memory.jsonl"
+        path.write_text(_GOOD.format("0.0", 0) + f"\n{space}\n" + _GOOD.format("5.0", 1) + "\n",
+                        encoding="utf-8")
+        assert len(load_memory(path)) == 2
+        path.write_text(space + _GOOD.format("0.0", 0) + space + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_memory(path)
+        assert str(exc.value) == (f"{path}: bad region on line 1: "
+                                  "Expecting value: line 1 column 1 (char 0)")
+
+    @pytest.mark.parametrize("name,value", [
+        ("center", "[Infinity]"), ("center", "[-1e400]"), ("radius", "Infinity"),
+        ("sigma", "-Infinity"), ("sigma", "NaN")])
+    def test_non_finite_values_name_line(self, tmp_path, name, value):
+        fields = {"center": "[5.0]", "radius": "1.0", "sigma": "0.25", name: value}
+        path = tmp_path / "memory.jsonl"
+        path.write_text(_GOOD.format("0.0", 0) + "\n{" + ", ".join(
+            f'"{k}": {v}' for k, v in fields.items()) + ', "prediction": 1, "norm": "l2"}\n')
+        with pytest.raises(ValueError, match="line 2: center, radius and sigma must be finite"):
+            load_memory(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LINE_VARIANTS), max_size=6),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    def test_column_checks_match_the_per_line_path(self, tmp_path_factory, lines, newline,
+                                                  last_newline):
+        path = tmp_path_factory.mktemp("lines") / "memory.jsonl"
+        path.write_bytes((newline.join(lines) + newline * last_newline).encode())
+        with mock.patch("smoothcert.memory._parsed_columns", return_value=None):
+            per_line = load_outcome(path)
+        assert load_outcome(path) == per_line
 
     def test_file_format_is_pinned(self, tmp_path):
         l2, l1 = MemoryStore(), MemoryStore()
