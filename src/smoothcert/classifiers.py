@@ -102,9 +102,10 @@ class ClassifierHandle:
     rows. ``grad_fn``, when present, maps the same points to the full input
     Jacobian of shape (m, num_classes, dim). ``labels_fn``, when present,
     gives one class index per point for Monte Carlo votes and must equal
-    ``argmax(probs_fn(points), axis=1)``, ties going to the lowest index.
-    ``run_campaign`` calls them from several threads at once: mutable state
-    needs a lock, and a trainable ``backend`` must not train during a campaign.
+    ``argmax(probs_fn(points), axis=1)``, ties going to the lowest index, or
+    booleans if binary; votes overwrite ``points`` after it returns, so it must
+    not keep them. ``run_campaign`` calls these from several threads at once:
+    mutable state needs a lock, and a trainable ``backend`` must not train then.
     """
     kind: str
     dim: int
@@ -131,16 +132,21 @@ class ClassifierHandle:
 
     def labels(self, points: np.ndarray) -> np.ndarray:
         """One class index per point: the argmax of ``probs``, lowest on ties."""
+        return self.vote_labels(points).astype(np.intp, copy=False)
+
+    def vote_labels(self, points: np.ndarray) -> np.ndarray:
+        """``labels`` as ``labels_fn`` gave them; booleans skip the range pass with 2+ classes."""
         if self.labels_fn is None:
             return np.argmax(self.probs(points), axis=1)
         points = self._points(points)
         labels = np.asarray(self.labels_fn(points))
         if (labels.shape != (len(points),) or labels.dtype.kind not in "biu"
-                or labels.size and not 0 <= labels.min() <= labels.max() < self.num_classes):
+                or labels.size and (labels.dtype.kind != "b" or self.num_classes < 2)
+                and not 0 <= labels.min() <= labels.max() < self.num_classes):
             raise ValueError(
                 f"classifier kind={self.kind!r} labels_fn must return {len(points)} "
                 f"class indices in [0, {self.num_classes}), got {labels!r}")
-        return labels.astype(np.intp, copy=False)
+        return labels
 
     def input_grads(self, points: np.ndarray) -> np.ndarray:
         if self.grad_fn is None:
@@ -223,8 +229,10 @@ def probit_halfspace_classifier(w, b: float, s: float) -> ClassifierHandle:
         q = sps.ndtr((points @ w - b) / s)
         return np.stack([1.0 - q, q], axis=1)
 
-    def labels_fn(points):  # the argmax of probs_fn, ties included
-        return (points @ w - b) / s > _NDTR_TIE
+    def labels_fn(points):  # the argmax of probs_fn, ties included, in place
+        u = points @ w
+        u -= b
+        return np.divide(u, s, out=u) > _NDTR_TIE
 
     def grad_fn(points):
         u = (points @ w - b) / s

@@ -106,13 +106,23 @@ def rng_for_input(seed: int, input_index: int, stream: int = 0) -> np.random.Gen
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _fill_noise(rng: np.random.Generator, out: np.ndarray, kind: str) -> np.ndarray:
+    """Standard draws into ``out``: N(0, 1), or U[-1, 1] as -1 + 2u, numpy's own bits."""
+    if kind == NOISE_UNIFORM:
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
+    elif kind == NOISE_GAUSSIAN:
+        rng.standard_normal(out=out)
+    else:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    return out
+
+
 def draw_noise(rng: np.random.Generator, n: int, dim: int,
                kind: str = NOISE_GAUSSIAN, lead: tuple[int, ...] = ()) -> NoiseBatch:
     """n draws per input for inputs of shape ``lead``, in input order."""
-    size = (*lead, n, dim)
-    if kind == NOISE_UNIFORM:
-        return NoiseBatch(kind, rng.uniform(-1.0, 1.0, size=size))
-    return NoiseBatch(kind, rng.standard_normal(size))  # rejects unknown kinds
+    return NoiseBatch(kind, _fill_noise(rng, np.empty((*lead, n, dim)), kind))
 
 
 def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
@@ -122,9 +132,10 @@ def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
     one row for the first ``split`` votes and one for the rest.
 
     A label is the argmax of the soft output, ties going to the lowest class
-    index. Each flat batch of draws is scaled in place and shifted by x tiled
-    to its length: the IEEE operations, so the bits, of x + scale * draws. The
-    draws do not depend on the chunking, so neither batch size nor split does.
+    index. Each batch is drawn into one flat buffer per call (rows run on
+    several threads), scaled in place and shifted by x tiled to its length: the
+    bits of x + scale * draws. Binary ``c.vote_labels`` are counted as booleans.
+    The draws do not depend on the chunking, so neither batch size nor split does.
     """
     x = as_point(x)
     if x.size != c.dim:
@@ -132,11 +143,12 @@ def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
     k, n, first = c.num_classes, int(n), int(split or 0)
     counts = np.zeros((2, k), dtype=np.int64)
     shift = np.tile(x, min(_VOTE_BATCH, n))
+    buffer = np.empty_like(shift)
     for start in range(0, n, _VOTE_BATCH):
-        draws = draw_noise(rng, min(_VOTE_BATCH, n - start), c.dim, kind).draws.reshape(-1)
+        draws = _fill_noise(rng, buffer[:min(_VOTE_BATCH, n - start) * c.dim], kind)
         draws *= scale
         draws += shift[:draws.size]
-        labels = c.labels(draws.reshape(-1, c.dim))
+        labels = c.vote_labels(draws.reshape(-1, c.dim))
         cut = max(first - start, 0)
         for row, part in enumerate((labels[:cut], labels[cut:])):
             if k == 2:  # two classes need no bincount

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special as sps
 
-from smoothcert import classifiers
+from smoothcert import classifiers, smoothing
 from smoothcert.classifiers import (ClassifierHandle, DerivativeUnsupportedError,
                                     TinyMLP,
                                     affine_softmax_classifier,
@@ -22,6 +22,8 @@ from smoothcert.classifiers import (ClassifierHandle, DerivativeUnsupportedError
                                     probit_halfspace_classifier,
                                     probit_halfspace_smoothed_prob,
                                     save_classifier, validate_simplex)
+from smoothcert.smoothing import (GaussianCertConfig, certify_l2, rng_for_input,
+                                  vote_counts)
 from smoothcert.stats import std_normal_cdf, std_normal_pdf
 
 
@@ -485,3 +487,49 @@ class TestLabels:
         assert plain.labels_fn is None
         pts = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         assert plain.labels(pts).tolist() == [0, 0, 1]
+
+    def test_binary_builtins_vote_with_booleans(self):
+        pts = np.random.default_rng(8).normal(size=(500, 2))
+        for kind in ("hard_halfspace", "probit_halfspace", "nested_ball"):
+            c = LABEL_CASES[kind][0]()
+            votes = c.vote_labels(pts)
+            assert votes.dtype == bool and np.array_equal(votes, c.labels(pts))
+
+    def test_boolean_labels_fn_on_one_class_rejected(self):
+        c = ClassifierHandle("one", 2, 1, lambda points: np.ones((len(points), 1)),
+                             labels_fn=lambda points: points[:, 0] > 0)
+        assert c.labels(np.array([[-1.0, 0.0]])).tolist() == [0]  # False is in range
+        with pytest.raises(ValueError, match="kind='one' labels_fn must return 2 "
+                                             r"class indices in \[0, 1\)"):
+            c.labels(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="kind='one' labels_fn must "):
+            vote_counts(c, [0.0, 0.0], 1.0, 100, rng_for_input(0, 0))
+
+    def test_boolean_labels_fn_on_three_classes_accepted(self):
+        c = ClassifierHandle("three", 2, 3, lambda points: np.full((len(points), 3), 1 / 3),
+                             labels_fn=lambda points: points[:, 0] > 0)
+        as_ints = replace(c, labels_fn=lambda points: (points[:, 0] > 0).astype(int))
+        labels = c.labels(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert labels.dtype == np.intp and labels.tolist() == [1, 0]
+        got = vote_counts(c, [0.1, 0.0], 1.0, 40_000, rng_for_input(3, 0))
+        assert np.array_equal(got, vote_counts(as_ints, [0.1, 0.0], 1.0, 40_000,
+                                               rng_for_input(3, 0)))
+        assert got.sum() == 40_000 and got[2] == 0 and got[0] > 0 and got[1] > 0
+
+    @pytest.mark.parametrize("bad", [
+        lambda points: np.zeros((len(points), 1), dtype=int),
+        lambda points: np.zeros((len(points), 1), dtype=bool),
+        lambda points: np.zeros(len(points) + 1, dtype=bool),
+        lambda points: np.full(len(points), -1),
+        lambda points: np.full(len(points), 2),
+        lambda points: np.full(len(points), 2 if len(points) == 1 else 0),  # last batch
+        lambda points: np.ones(len(points)),
+    ], ids=["column", "bool_column", "bool_long", "negative", "too_large",
+            "last_batch", "float"])
+    def test_bad_labels_fn_output_rejected_on_the_vote_path(self, bad):
+        c = replace(nested_ball_classifier(1.0, dim=2), labels_fn=bad)
+        with pytest.raises(ValueError, match="kind='nested_ball' labels_fn must "):
+            vote_counts(c, [0.0, 0.0], 0.5, smoothing._VOTE_BATCH + 1, rng_for_input(0, 0))
+        cfg = GaussianCertConfig(n0=1, n_cert=smoothing._VOTE_BATCH)
+        with pytest.raises(ValueError, match="kind='nested_ball' labels_fn must "):
+            certify_l2(c, [0.0, 0.0], 0.5, cfg)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smoothcert import smoothing
-from smoothcert.classifiers import (TinyMLP, affine_softmax_classifier,
+from smoothcert.classifiers import (ClassifierHandle, TinyMLP, affine_softmax_classifier,
                                     constant_classifier,
                                     hard_halfspace_classifier, mlp_classifier,
                                     nested_ball_classifier,
@@ -57,6 +57,40 @@ class TestSeeding:
         each = np.stack([draw_noise(b, 6, 3, kind).draws for _ in range(4)])
         assert np.array_equal(batch.draws, each)
         assert a.random() == b.random()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_draws_equal_numpy_bit_for_bit(self, kind):
+        # draw_noise and the vote path's reused buffer against numpy's own draws,
+        # so the frozen vote references below do not rest on draw_noise alone
+        def numpy_draws(rng, size):
+            if kind == "uniform":
+                return rng.uniform(-1.0, 1.0, size)
+            return rng.standard_normal(size)
+
+        def vote_draws(rng, n, d):  # x = 0 and scale 1 leave the draws as drawn
+            seen = []
+
+            def capture(points):
+                seen.append(points.copy())  # the buffer is overwritten after the call
+                return np.zeros(len(points), dtype=bool)
+
+            c = ClassifierHandle("capture", d, 2, None, labels_fn=capture)
+            assert vote_counts(c, np.zeros(d), 1.0, n, rng, kind).tolist() == [n, 0]
+            return np.concatenate(seen)
+
+        for n in (1, 16384, 16385):
+            for d in (1, 2, 16):
+                for lead in ((), (3,)):
+                    a, b = np.random.default_rng(n + d), np.random.default_rng(n + d)
+                    got = draw_noise(a, n, d, kind, lead).draws
+                    want = numpy_draws(b, (*lead, n, d))
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                    assert a.bit_generator.state == b.bit_generator.state
+                a, b = rng_for_input(n, d), rng_for_input(n, d)
+                got, want = vote_draws(a, n, d), numpy_draws(b, (n, d))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert a.bit_generator.state == b.bit_generator.state
 
     def test_streams_differ_across_inputs_and_channels(self):
         a = rng_for_input(7, 3).standard_normal(5)
