@@ -12,6 +12,7 @@ default seed when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,12 +216,12 @@ _HANDLERS = {
     "train-demo": _cmd_train_demo,
     "report": _cmd_report,
 }
+_parser = functools.cache(build_parser)  # built by the first cli_main call, not at import
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -28,8 +28,8 @@ from .memory import (NORM_L1, NORM_L2, CertifiedRegion, MemoryStore,
                      memory_insert, save_memory)
 from .sigma_opt import SigmaOptConfig, optimize_sigma
 from .smoothing import (_VOTE_BATCH, ABSTAIN, NOISE_GAUSSIAN, NOISE_UNIFORM,
-                        GaussianCertConfig, NoiseBatch, certify_l1, certify_l2,
-                        draw_noise, rng_for_input)
+                        GaussianCertConfig, NoiseBatch, _fill_noise, _seed_words,
+                        _Words, certify_l1, certify_l2, draw_noise)
 
 __all__ = [
     "MODE_FIXED",
@@ -207,14 +207,15 @@ def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig,
     """
     n = cfg.opt.n_samples
     block = max(1, _ASCENT_POINTS // (3 * n))
+    words = _seed_words(cfg.cert.seed, np.arange(len(dataset)), _STREAM_OPT)
     scales = np.empty(len(dataset))
     for start in range(0, len(dataset), block):
-        rows = range(start, min(start + block, len(dataset)))
-        noise = NoiseBatch(kind, np.stack([
-            draw_noise(rng_for_input(cfg.cert.seed, i, _STREAM_OPT), n, c.dim,
-                       kind).draws for i in rows]))
-        scales[start:rows.stop], _ = optimize_sigma(
-            c, dataset.points[start:rows.stop], cfg.opt, noise, cfg.sigma0)
+        stop = min(start + block, len(dataset))
+        draws = np.empty((stop - start, n, c.dim))
+        for row, w in zip(draws, words[start:stop]):
+            _fill_noise(np.random.Generator(np.random.PCG64(_Words(w))), row, kind)
+        scales[start:stop], _ = optimize_sigma(
+            c, dataset.points[start:stop], cfg.opt, NoiseBatch(kind, draws), cfg.sigma0)
     return scales
 
 
@@ -257,10 +258,11 @@ def run_campaign(cfg: CampaignConfig, dataset: LabeledDataset,
     scales = ([cfg.sigma0] * len(dataset) if cfg.mode == MODE_FIXED
               else _ascent_scales(classifier, dataset, cfg, kind).tolist())
     certify = certify_l1 if kind == NOISE_UNIFORM else certify_l2
+    words = _seed_words(cfg.cert.seed, np.arange(len(dataset)), _STREAM_CERT)
 
-    def certify_row(i):
+    def certify_row(i):  # row i draws from rng_for_input(seed, i, _STREAM_CERT)
         return certify(classifier, dataset.points[i], scales[i], cfg.cert,
-                       rng=rng_for_input(cfg.cert.seed, i, _STREAM_CERT))
+                       rng=np.random.Generator(np.random.PCG64(_Words(words[i]))))
 
     with ThreadPoolExecutor(min(_cpu_count(), _ASCENT_POINTS // _VOTE_BATCH)) as pool:
         mapper = map if cfg.cert.n_cert < _POOL_MIN_VOTES else pool.map

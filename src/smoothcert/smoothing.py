@@ -7,7 +7,8 @@ here too; it shares the sampling conventions but is *not* a sound bound, and
 
 Sampling is counter-based: every (seed, input_index, stream) triple maps to
 an independent deterministic stream, so certification of distinct inputs
-runs concurrently, in any order, without changing results.
+runs concurrently, in any order, without changing results. ``rng_for_input``
+defines each stream; a campaign hashes all its row seeds in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .classifiers import ClassifierHandle, as_point
 from .stats import binom_lower_confidence, clamp_probability, std_normal_quantile
@@ -106,6 +108,51 @@ def rng_for_input(seed: int, input_index: int, stream: int = 0) -> np.random.Gen
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _seed_words(seed: int, rows, stream: int) -> np.ndarray:
+    """``SeedSequence([seed & (2**64 - 1), i, stream]).generate_state(4, np.uint64)``
+    of every i in ``rows`` as a (len(rows), 4) array: numpy's mix_entropy and
+    generate_state on uint32 lanes. An int enters as its little-endian 32-bit
+    words, so rows below 2**32 and the rest are hashed apart."""
+    def words(v: int) -> list[int]:
+        return [v >> s & 0xFFFFFFFF for s in range(0, max(v.bit_length(), 1), 32)]
+
+    def hashmix(value, h):  # h = [constant, multiplier]; each call advances the constant
+        value, h[0] = value ^ h[0], h[0] * h[1] & 0xFFFFFFFF
+        value = value * h[0]
+        return value ^ value >> 16
+
+    rows = np.asarray(rows, dtype=np.uint64).reshape(-1)
+    out = np.empty((rows.size, 4), dtype=np.uint64)
+    for wide in np.unique(rows >> 32 > 0):
+        pick = (rows >> 32 > 0) == wide
+        lanes = [rows[pick] & 0xFFFFFFFF, rows[pick] >> 32][:1 + wide]
+        entropy = np.array(np.broadcast_arrays(*words(int(seed) & (2**64 - 1)), *lanes,
+                                               *words(int(stream))), dtype=np.uint32)
+        h = [0x43B0D7E5, 0x931E8875]
+        pool = [hashmix(w, h) for w in [*entropy, 0 * entropy[0]][:4]]  # 3+ words, 0-padded
+        for src in range(max(4, len(entropy))):  # the pool, then entropy beyond it
+            for dst in range(4):
+                if dst != src:
+                    mixed = (pool[dst] * 0xCA01F9DD
+                             - hashmix(pool[src] if src < 4 else entropy[src], h) * 0x4973F715)
+                    pool[dst] = mixed ^ mixed >> 16
+        h = [0x8B51F9DD, 0x58F38DED]
+        state = np.array([hashmix(pool[j % 4], h) for j in range(8)], dtype=np.uint64)
+        out[pick] = (state[0::2] | state[1::2] << 32).T
+    return out
+
+
+class _Words(ISeedSequence):
+    """A row of ``_seed_words`` as the state PCG64 asks its seed sequence for:
+    ``Generator(PCG64(_Words(w)))`` is the generator ``rng_for_input`` returns."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _fill_noise(rng: np.random.Generator, out: np.ndarray, kind: str) -> np.ndarray:
     """Standard draws into ``out``: N(0, 1), or U[-1, 1] as -1 + 2u, numpy's own bits."""
     if kind == NOISE_UNIFORM:
@@ -153,7 +200,8 @@ def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
         for row, part in enumerate((labels[:cut], labels[cut:])):
             if k == 2:  # two classes need no bincount
                 ones = np.count_nonzero(part)
-                counts[row] += (part.size - ones, ones)
+                counts[row, 0] += part.size - ones
+                counts[row, 1] += ones
             else:
                 counts[row] += np.bincount(part, minlength=k)
     return counts[1] if split is None else counts
@@ -175,7 +223,7 @@ def _certify(c, x, scale, cfg, kind, rng) -> CertificationOutcome:
     rng = rng_for_input(cfg.seed, 0) if rng is None else rng
     samples = cfg.n0 + cfg.n_cert
     counts0, counts = vote_counts(c, x, scale, samples, rng, kind, split=cfg.n0)
-    candidate = int(np.argmax(counts0))
+    candidate = int(counts0.argmax())
     p_lower = binom_lower_confidence(int(counts[candidate]), cfg.n_cert, cfg.alpha_fail)
     if p_lower <= 0.5:
         return CertificationOutcome(ABSTAIN, 0.0, p_lower, samples)

@@ -47,8 +47,9 @@ def std_normal_pdf(z):
 
 def std_normal_quantile(p):
     """Phi^{-1}(p) for p strictly inside (0, 1), elementwise over arrays."""
-    q = np.asarray(p, dtype=float)
-    if not np.all((q > 0.0) & (q < 1.0)):
+    scalar = type(p) is float  # skips the array wrapping; ndtri gives the same bits
+    q = p if scalar else np.asarray(p, dtype=float)
+    if not (0.0 < q < 1.0 if scalar else np.all((q > 0.0) & (q < 1.0))):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
     z = sps.ndtri(q)
     return float(z) if z.ndim == 0 else z
@@ -56,6 +57,8 @@ def std_normal_quantile(p):
 
 def clamp_probability(p):
     """Pull p into [P_CLAMP, 1 - P_CLAMP] so the normal quantile stays finite."""
+    if type(p) is float and p == p:  # min/max select what np.clip selects
+        return min(max(p, P_CLAMP), 1.0 - P_CLAMP)
     q = np.clip(np.asarray(p, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
     return float(q) if q.ndim == 0 else q
 

@@ -219,6 +219,27 @@ class TestRunCampaign:
         assert ascents == [2] * 6
         assert small[0] == records and small[1] == store
 
+    @pytest.mark.parametrize("mode", [MODE_DS, MODE_DS_L1])
+    @pytest.mark.parametrize("seed", [4, 2**40 + 3])
+    def test_rows_draw_from_rng_for_input(self, mode, seed):
+        # the campaign hashes its row seeds in one pass; row i must still draw
+        # its ascent noise from stream 1 and its votes from stream 0 of
+        # rng_for_input(seed, i, stream)
+        ds, c = probit_setup(n=9, seed=6)
+        cfg = self._cfg(mode, seed=seed, iters=4, step_alpha=0.05)
+        kind = "uniform" if mode == MODE_DS_L1 else "gaussian"
+        noise = smoothing.NoiseBatch(kind, np.stack([
+            smoothing.draw_noise(smoothing.rng_for_input(seed, i, 1), 20, 2, kind).draws
+            for i in range(len(ds))]))
+        scales, _ = optimize_sigma(c, ds.points, cfg.opt, noise, cfg.sigma0)
+        certify = smoothing.certify_l1 if mode == MODE_DS_L1 else smoothing.certify_l2
+        records, _, _ = run_campaign(cfg, dataset=ds, classifier=c)
+        for i, record in enumerate(records):
+            want = certify(c, ds.points[i], scales[i], cfg.cert,
+                           rng=smoothing.rng_for_input(seed, i, 0))
+            assert record.sigma_star == scales[i]
+            assert record.p_lower == want.p_lower
+
     def test_ds_with_zero_iters_equals_fixed(self):
         ds, c = probit_setup(n=12, seed=3)
         rf, _, mf = run_campaign(self._cfg(MODE_FIXED), dataset=ds, classifier=c)

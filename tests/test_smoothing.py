@@ -92,6 +92,27 @@ class TestSeeding:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 assert a.bit_generator.state == b.bit_generator.state
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -12345])
+    @pytest.mark.parametrize("stream", [0, 1, 7])
+    def test_seed_words_equal_numpy_seed_sequence(self, seed, stream):
+        # one call mixes row indices of one 32-bit word and of two
+        rows = [0, 1, 2**32 - 1, 2**32, 2**40, 3]
+        words = smoothing._seed_words(seed, rows, stream)
+        assert words.shape == (len(rows), 4) and words.dtype == np.uint64
+        for i, w in zip(rows, words):
+            entropy = [seed & (2**64 - 1), i, stream]
+            want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert np.array_equal(w, want)
+            got = np.random.Generator(np.random.PCG64(smoothing._Words(w)))
+            ref = rng_for_input(seed, i, stream)
+            assert got.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(got.standard_normal(7).view(np.int64),
+                                  ref.standard_normal(7).view(np.int64))
+
+    def test_seed_words_of_no_rows(self):
+        assert smoothing._seed_words(3, [], 0).shape == (0, 4)
+        assert smoothing._seed_words(3, np.arange(0), 1).shape == (0, 4)
+
     def test_streams_differ_across_inputs_and_channels(self):
         a = rng_for_input(7, 3).standard_normal(5)
         b = rng_for_input(7, 4).standard_normal(5)

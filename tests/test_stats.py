@@ -115,6 +115,55 @@ class TestClamp:
         assert clamp_probability(1.0) == 1.0 - P_CLAMP
 
 
+class TestScalarPath:
+    """A plain float takes a path without array wrapping; it must give the
+    array path's bits and errors."""
+
+    SWEEP = [P_CLAMP, 0.5, 1.0 - 1e-16, 1e-300, 5e-324, 1.0 - P_CLAMP,
+             0.841344746068543, *np.random.default_rng(19).random(500).tolist(),
+             *(np.random.default_rng(20).random(100) ** 60).tolist()]
+
+    @staticmethod
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    def test_quantile_equals_the_array_path(self):
+        for p in self.SWEEP:
+            got = std_normal_quantile(p)
+            assert type(got) is float
+            assert self.bits(got) == self.bits(std_normal_quantile(np.array([p]))[0])
+            assert self.bits(got) == self.bits(std_normal_quantile(np.array(p)))
+
+    def test_clamp_equals_the_array_path(self):
+        for p in [*self.SWEEP, 0.0, -0.0, 1.0, -3.0, 7.5, 1e-5, math.inf, -math.inf]:
+            got = clamp_probability(p)
+            assert type(got) is float
+            assert self.bits(got) == self.bits(clamp_probability(np.array([p]))[0])
+        assert math.isnan(clamp_probability(math.nan))
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, math.nan, -0.5, 1.5, math.inf,
+                                   -math.inf])
+    def test_quantile_domain_errors_match(self, p):
+        message = f"p must lie strictly in (0, 1), got {p!r}"
+        with pytest.raises(ValueError) as float_error:
+            std_normal_quantile(p)
+        assert str(float_error.value) == message
+        with pytest.raises(ValueError, match=r"p must lie strictly in \(0, 1\)"):
+            std_normal_quantile(np.array([p]))
+
+    def test_numpy_scalars_and_zero_d_arrays_keep_the_array_path(self):
+        for p in (0.3, P_CLAMP, 1.0 - 1e-16):
+            for wrapped in (np.float64(p), np.array(p)):
+                z, q = std_normal_quantile(wrapped), clamp_probability(wrapped)
+                assert type(z) is float and type(q) is float
+                assert self.bits(z) == self.bits(std_normal_quantile(p))
+                assert self.bits(q) == self.bits(clamp_probability(p))
+        for p in (np.float64(0.0), np.array(1.0)):
+            with pytest.raises(ValueError) as error:
+                std_normal_quantile(p)
+            assert str(error.value) == f"p must lie strictly in (0, 1), got {p!r}"
+
+
 class TestBinomLowerConfidence:
     def test_all_successes_small(self):
         # closed form: alpha ** (1/n)
