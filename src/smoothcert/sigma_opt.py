@@ -4,7 +4,6 @@ Gradient ascent on the plug-in certified radius, reparameterized so one batch
 of standard noise draws serves every scale value: the objective is then a
 deterministic function of the scale, finite differences are exact secants of
 that realized function, and the best iterate can never fall below the start.
-A grid-search baseline under a matched evaluation budget is included.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierHandle, as_point
-from .smoothing import (NOISE_UNIFORM, NoiseBatch, _pick, draw_noise,
-                        plugin_radii, proxy_radius, proxy_radius_l1)
+from .smoothing import (NOISE_UNIFORM, NoiseBatch, _pick, plugin_radii,
+                        proxy_radius, proxy_radius_l1)
 from .stats import P_CLAMP, clamp_probability, std_normal_pdf, std_normal_quantile
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "SigmaTrace",
     "grad_sigma",
     "optimize_sigma",
-    "sigma_grid",
-    "grid_search_sigma",
     # One-scale views of the objective, kept importable from this module
     # because the benchmark's span tracer hooks them here by name.
     "proxy_radius",
@@ -205,40 +202,3 @@ def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
         return float(sigma), SigmaTrace(sigmas, radii, tops)
     return sigma, [SigmaTrace(sigmas[:, i], radii[:, i], tops[:, i])
                    for i in range(len(x))]
-
-
-def sigma_grid(n_samples: int, budget: int, sigma_grid_max: float = 1.0) -> np.ndarray:
-    """Evaluation grid of scales with exactly budget/n_samples points.
-
-    Spacing is sigma_grid_max * n_samples / budget, which must be positive
-    and finite.
-    """
-    if n_samples < 1 or budget < 1:
-        raise ValueError("n_samples and budget must be >= 1")
-    if budget % n_samples != 0:
-        raise ValueError(f"budget {budget} must be divisible by n_samples {n_samples}")
-    m = budget // n_samples
-    delta = sigma_grid_max / m
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"sigma_grid_max must be positive and finite, got {sigma_grid_max!r}")
-    return delta * np.arange(1, m + 1)
-
-
-def grid_search_sigma(c: ClassifierHandle, x, n_samples: int, budget: int,
-                      sigma_grid_max: float = 1.0,
-                      noise: NoiseBatch | None = None) -> float:
-    """Crude baseline: evaluate the plug-in radius on an even grid of scales.
-
-    Every grid point is scored with the same noise batch of ``n_samples``
-    draws in one classifier call, keeping the total number of point
-    evaluations at exactly ``budget``. Returns the argmax scale (earliest grid
-    point on ties). The norm follows the noise kind; without noise a gaussian
-    batch is drawn from ``default_rng(0)``.
-    """
-    grid = sigma_grid(n_samples, budget, sigma_grid_max)
-    if noise is None:
-        noise = draw_noise(np.random.default_rng(0), n_samples, c.dim)
-    elif len(noise) != n_samples:
-        raise ValueError(f"noise has {len(noise)} draws, expected n_samples={n_samples}")
-    radii, _, _, _ = plugin_radii(c, x, grid, noise)
-    return float(grid[int(np.argmax(radii))])

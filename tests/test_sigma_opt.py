@@ -15,9 +15,8 @@ from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier)
 from smoothcert.sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD,
                                   RETURN_BEST_ITERATE, RETURN_FAITHFUL,
-                                  SigmaOptConfig, grad_sigma, grid_search_sigma,
-                                  optimize_sigma, sigma_grid)
-from smoothcert.smoothing import NoiseBatch, draw_noise, proxy_radius
+                                  SigmaOptConfig, grad_sigma, optimize_sigma)
+from smoothcert.smoothing import NoiseBatch, draw_noise, plugin_radii, proxy_radius
 from smoothcert.stats import clamp_probability, std_normal_quantile
 
 
@@ -34,18 +33,21 @@ def seeded_noise(cfg, dim, seed=0, lead=()):
 
 
 def counting(c):
-    """Copy of c that counts its probs and input_grads calls."""
+    """Copy of c that counts its probs and input_grads calls and their points."""
     calls = {"probs": 0, "grads": 0}
+    points = {"probs": 0, "grads": 0}
 
-    def probs_fn(points):
+    def probs_fn(pts):
         calls["probs"] += 1
-        return c.probs_fn(points)
+        points["probs"] += len(pts)
+        return c.probs_fn(pts)
 
-    def grad_fn(points):
+    def grad_fn(pts):
         calls["grads"] += 1
-        return c.grad_fn(points)
+        points["grads"] += len(pts)
+        return c.grad_fn(pts)
 
-    return ClassifierHandle(c.kind, c.dim, c.num_classes, probs_fn, grad_fn), calls
+    return ClassifierHandle(c.kind, c.dim, c.num_classes, probs_fn, grad_fn), calls, points
 
 
 class TestConfig:
@@ -151,10 +153,14 @@ class TestOptimizeSigma:
 
     @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 7)])
     def test_one_probs_call_per_iterate(self, mode, grads):
-        c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
+        c, calls, points = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
         cfg = SigmaOptConfig(step_alpha=0.01, iters_k=7, n_samples=5, grad_mode=mode)
         optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 4), 0.3)
         assert calls == {"probs": 8, "grads": grads}
+        # K=7, n=5: scalar_fd scores 3Kn + n points; analytic scores (K+1)n
+        # points and takes Kn gradients
+        assert points == ({"probs": 110, "grads": 0} if mode == GRAD_SCALAR_FD
+                          else {"probs": 40, "grads": 35})
 
     def test_zero_iterations_analytic_on_value_only(self):
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
@@ -170,6 +176,23 @@ class TestOptimizeSigma:
         sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 12),
                                            0.5)
         assert sigma_star == trace[-1].sigma
+
+    def test_grid_never_beats_best_iterate_by_more_than_one_spacing(self):
+        # weak comparison bound in objective units, on the analytic curves; the
+        # grid of m scales shares the ascent's n draws and is scored in one call
+        c = nested_ball_classifier(1.0, dim=2)
+        n, m = 2000, 20
+        noise = draw_noise(np.random.default_rng(6), n, 2)
+        grid_pts = (1.0 / m) * np.arange(1, m + 1)
+        grid_radii, _, _, _ = plugin_radii(c, [0.0, 0.0], grid_pts, noise)
+        s_grid = float(grid_pts[int(np.argmax(grid_radii))])
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=m, n_samples=n,
+                             sigma_min=0.05, sigma_max=2.0,
+                             return_mode=RETURN_BEST_ITERATE, fd_step=1e-3)
+        s_best, _ = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise, sigma0=0.5)
+        true_vals = [ball_radius_true(float(s)) for s in grid_pts]
+        max_step = max(abs(b - a) for a, b in zip(true_vals, true_vals[1:]))
+        assert ball_radius_true(s_grid) <= ball_radius_true(s_best) + max_step
 
 
 BATCH_CLASSIFIERS = {
@@ -218,11 +241,14 @@ class TestBatchedAscent:
 
     @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 5)])
     def test_one_probs_call_per_iterate_for_the_batch(self, mode, grads):
-        c, calls = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
+        c, calls, points = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
         cfg = SigmaOptConfig(step_alpha=0.01, iters_k=5, n_samples=3, grad_mode=mode)
         optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg, seeded_noise(cfg, 2, lead=(9,)),
                        0.3)
         assert calls == {"probs": 6, "grads": grads}
+        # K=5, n=3: the per-input budget, 3Kn + n or (K+1)n and Kn, times 9 inputs
+        assert points == ({"probs": 432, "grads": 0} if mode == GRAD_SCALAR_FD
+                          else {"probs": 162, "grads": 135})
 
     def test_non_finite_start_scale_rejected(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
@@ -295,69 +321,3 @@ class TestGradSigma:
         noise = draw_noise(np.random.default_rng(0), 10, 2)
         with pytest.raises(DerivativeUnsupportedError):
             grad_sigma(c, [1.0, 0.0], 0.5, noise, GRAD_ANALYTIC)
-
-
-class TestGridSearch:
-    def test_budget_of_200_single_sample_evaluations(self):
-        grid = sigma_grid(1, 200, 1.0)
-        assert len(grid) == 200
-        assert grid[0] == pytest.approx(1.0 / 200)
-        assert grid[-1] == pytest.approx(1.0)
-        assert np.allclose(np.diff(grid), 1.0 / 200)
-
-    def test_budget_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            sigma_grid(3, 200, 1.0)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_grid_max_must_be_positive_and_finite(self, bad):
-        with pytest.raises(ValueError, match="sigma_grid_max must be positive and finite"):
-            sigma_grid(1, 200, bad)
-        with pytest.raises(ValueError, match="sigma_grid_max must be positive and finite"):
-            grid_search_sigma(constant_classifier([0.9, 0.1], dim=2), [0.0, 0.0], 1, 200,
-                              sigma_grid_max=bad)
-
-    def test_one_probs_call_for_the_grid(self):
-        c, calls = counting(nested_ball_classifier(1.0, dim=2))
-        grid_search_sigma(c, [0.0, 0.0], 4, 200)
-        assert calls == {"probs": 1, "grads": 0}
-
-    def test_noise_must_hold_n_samples_draws(self):
-        # 10 draws scored at 200 grid points would be 2000 evaluations, not 200
-        c, calls = counting(nested_ball_classifier(1.0, dim=2))
-        noise = draw_noise(np.random.default_rng(0), 10, 2)
-        with pytest.raises(ValueError, match="expected n_samples=1"):
-            grid_search_sigma(c, [0.0, 0.0], 1, 200, noise=noise)
-        assert calls == {"probs": 0, "grads": 0}
-
-    def test_constant_classifier_takes_largest_point(self):
-        # R = sigma * const is linear in sigma
-        c = constant_classifier([0.9, 0.1], dim=2)
-        s = grid_search_sigma(c, [0.0, 0.0], 1, 200, sigma_grid_max=1.0)
-        assert s == pytest.approx(1.0)
-
-    def test_ball_argmax_within_one_spacing(self):
-        grid = np.linspace(0.05, 2.0, 4000)
-        s_star = grid[int(np.argmax([ball_radius_true(s) for s in grid]))]
-        c = nested_ball_classifier(1.0, dim=2)
-        noise = draw_noise(np.random.default_rng(4), 50_000, 2)
-        s_hat = grid_search_sigma(c, [0.0, 0.0], 50_000, 500_000,
-                                  sigma_grid_max=1.0, noise=noise)
-        spacing = 1.0 / 10
-        assert abs(s_hat - s_star) <= spacing
-
-    def test_grid_never_beats_best_iterate_by_more_than_one_spacing(self):
-        # weak comparison bound in objective units, on the analytic curves
-        c = nested_ball_classifier(1.0, dim=2)
-        n, m = 2000, 20
-        noise = draw_noise(np.random.default_rng(6), n, 2)
-        s_grid = grid_search_sigma(c, [0.0, 0.0], n, n * m,
-                                   sigma_grid_max=1.0, noise=noise)
-        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=m, n_samples=n,
-                             sigma_min=0.05, sigma_max=2.0,
-                             return_mode=RETURN_BEST_ITERATE, fd_step=1e-3)
-        s_best, _ = optimize_sigma(c, [0.0, 0.0], cfg, noise=noise, sigma0=0.5)
-        grid_pts = sigma_grid(n, n * m, 1.0)
-        true_vals = [ball_radius_true(float(s)) for s in grid_pts]
-        max_step = max(abs(b - a) for a, b in zip(true_vals, true_vals[1:]))
-        assert ball_radius_true(s_grid) <= ball_radius_true(s_best) + max_step
