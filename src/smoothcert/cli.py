@@ -142,6 +142,12 @@ def _cmd_certify(args) -> int:
     from .memory import load_memory
     from .pipeline import emit_report, load_dataset
 
+    metrics_out = args.metrics_out or args.out + ".metrics.json"
+    flags: dict[str, str] = {}  # real path -> output flag; --memory-in is not an output
+    for flag, path in (("--out", args.out), ("--metrics-out", metrics_out),
+                       ("--memory-out", args.memory_out)):
+        if path and (first := flags.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ValueError(f"{first} and {flag} name the same file: {path}")
     cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,
                               alpha_fail=args.alpha_fail, seed=_seed(args))
     cfg = CampaignConfig(mode=args.mode, sigma0=args.sigma0, cert=cert,
@@ -150,10 +156,8 @@ def _cmd_certify(args) -> int:
     classifier = load_classifier(args.classifier)
     memory = load_memory(args.memory_in) if args.memory_in else None
     records, memory, metrics = run_campaign(cfg, dataset, classifier, memory)
-    emit_report(records, metrics, args.out,
-                args.metrics_out or args.out + ".metrics.json",
-                config_echo=_config_echo(cfg, args), memory=memory,
-                memory_path=args.memory_out)
+    emit_report(records, metrics, args.out, metrics_out, config_echo=_config_echo(cfg, args),
+                memory=memory, memory_path=args.memory_out)
     print(f"certified {metrics.n_inputs} inputs: ACR={metrics.acr:.6f} "
           f"abstain_rate={metrics.abstain_rate:.4f} "
           f"overlap_events={metrics.overlap_events}")
@@ -185,8 +189,7 @@ def _cmd_train_demo(args) -> int:
     results = []
     for s in range(first, first + args.seeds):
         res = run_training_demo(seed=s, n_train=args.n_train, n_test=args.n_test,
-                                warmup_epochs=args.epochs, ds_epochs=args.epochs,
-                                n_cert=args.n_cert)
+                                epochs=args.epochs, n_cert=args.n_cert)
         win = res["acr_ds"] > res["acr_fixed"]
         print(f"seed={s} acr_fixed={res['acr_fixed']:.6f} "
               f"acr_ds={res['acr_ds']:.6f} ds_wins={win}")

@@ -368,27 +368,26 @@ def _parsed_columns(lines):
 
 
 def load_memory(path) -> MemoryStore:
-    """Read a JSON-lines memory file, re-validating the no-overlap invariant.
-
-    Every line is checked in full as columns (JSON types, the first line's
-    norm and dimension, finite values, radius >= 0). A file that fails is read
-    again line by line to raise on the first bad line, naming path and line.
-    Then the first overlapping differently-predicted pair (i < j) is named.
-    """
+    """Read a JSON-lines memory file once (it may be a pipe), re-validating the
+    no-overlap invariant. Every line is checked in full as columns (JSON types,
+    the first line's norm and dimension, finite values, radius >= 0); when that
+    fails, the same lines are then checked one by one to raise on the first bad
+    line, naming path and line. Then the first overlapping differently-predicted
+    pair (i < j) is named."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()  # universal newlines, as iterating fh; not str.splitlines
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            columns = _parsed_columns(fh)
+        columns = _parsed_columns(lines)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         columns = None
     if columns is None:
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    if line.strip():
-                        rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                if line.strip():
+                    rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
         columns = tuple(zip(*rows))
     store = MemoryStore()
     if columns:
@@ -399,11 +398,6 @@ def load_memory(path) -> MemoryStore:
     return store
 
 
-def audit(store: MemoryStore, cert_sample_cost: int = 100_000) -> dict:
-    """Overlap and cost report for the current store. ``predicted_cost`` is the
-    expected per-insert work N*p + (1-p)*(2N + n) at the observed overlap
-    frequency p, with N the store size and n the Monte Carlo cost of one
-    certification."""
-    n, p = len(store), store.adjusted_insertions / max(store.insertions, 1)
-    return {"overlap_events": store.overlap_events, "comparisons": store.comparisons,
-            "predicted_cost": n * p + (1.0 - p) * (2.0 * n + cert_sample_cost)}
+def audit(store: MemoryStore) -> dict:
+    """Overlap events and comparisons counted over the store's insertions."""
+    return {"overlap_events": store.overlap_events, "comparisons": store.comparisons}

@@ -362,15 +362,14 @@ def train_batch(c: ClassifierHandle, points: np.ndarray, labels: np.ndarray,
 
 
 def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
-                      warmup_epochs: int = 30, ds_epochs: int = 30,
-                      n_cert: int = 2000) -> dict:
+                      epochs: int = 30, n_cert: int = 2000) -> dict:
     """Train a perceptron on the annuli data with per-input scales, then
     certify the test split at the fixed starting scale and with the
     data-dependent scale, returning both metric summaries.
 
-    Training warms up with plain fixed-scale augmentation (zero optimization
-    iterations), then switches to one ascent step per epoch with the scales
-    carried over between epochs.
+    Training warms up for ``epochs`` epochs of plain fixed-scale augmentation
+    (zero optimization iterations), then runs ``epochs`` more with one ascent
+    step per epoch and the scales carried over between epochs.
     """
     from .classifiers import TinyMLP, mlp_classifier
     from .synthetic import make_annuli
@@ -389,8 +388,8 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
                               grad_mode="scalar_fd", fd_step=0.05)
     ds_opt = replace(base_opt, iters_k=1)
     sigmas = np.full(n_train, sigma0)
-    for epoch in range(warmup_epochs + ds_epochs):
-        opt_cfg = base_opt if epoch < warmup_epochs else ds_opt
+    for epoch in range(2 * epochs):
+        opt_cfg = base_opt if epoch < epochs else ds_opt
         order = rng.permutation(n_train)
         for start in range(0, n_train, 20):
             idx = order[start:start + 20]

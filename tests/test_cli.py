@@ -200,6 +200,60 @@ class TestCertify:
         n2 = mem2.read_text().count("\n")
         assert n2 == 2 * n1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_bad_memory_on_a_pipe_fails(self, workspace):
+        tmp, data, clf = workspace
+        out = tmp / "r.csv"
+        bad = json.dumps({"center": [0.0, 0.0], "radius": -1.0, "prediction": 1,
+                          "sigma": 0.25, "norm": "l2"}) + "\n"
+        run = subprocess.run(
+            [sys.executable, "-m", "smoothcert",
+             *certify_args(data, clf, out, ["--memory-in", "/dev/stdin"])],
+            input=bad, env=src_env(), capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert ("/dev/stdin: bad region on line 1: center, radius and sigma must be "
+                "finite and radius >= 0") in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,first,second,clash", [
+        (["--memory-out", "r.csv"], "--out", "--memory-out", "r.csv"),
+        (["--metrics-out", "r.csv"], "--out", "--metrics-out", "r.csv"),
+        (["--metrics-out", "m.json", "--memory-out", "m.json"], "--metrics-out",
+         "--memory-out", "m.json"),
+        (["--memory-out", "r.csv.metrics.json"], "--metrics-out", "--memory-out",
+         "r.csv.metrics.json"),
+        (["--memory-out", "link.jsonl"], "--out", "--memory-out", "r.csv"),
+    ], ids=["out_memory", "out_metrics", "metrics_memory", "default_metrics_memory",
+            "symlink"])
+    def test_outputs_naming_one_file_fail_before_any_work(self, workspace, monkeypatch,
+                                                          capsys, extra, first, second,
+                                                          clash):
+        tmp, data, clf = workspace
+        (tmp / "link.jsonl").symlink_to(tmp / "r.csv")
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        args = certify_args(data, clf, tmp / "r.csv",
+                            [str(tmp / v) if v.endswith(("csv", "json", "jsonl")) else v
+                             for v in extra])
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{first} and {second} name the same file" in err
+        assert not (tmp / clash).exists()
+
+    def test_memory_out_may_update_memory_in(self, workspace):
+        tmp, data, clf = workspace
+        mem = tmp / "m.jsonl"
+        assert cli_main(certify_args(data, clf, tmp / "a.csv",
+                                     ["--memory-out", str(mem)])) == 0
+        n1 = mem.read_text().count("\n")
+        assert cli_main(certify_args(data, clf, tmp / "b.csv",
+                                     ["--memory-in", str(mem),
+                                      "--memory-out", str(mem)])) == 0
+        assert mem.read_text().count("\n") == 2 * n1
+
     def test_ds_l1_mode(self, workspace):
         tmp, data, clf = workspace
         out = tmp / "l1.csv"
