@@ -6,7 +6,7 @@ Subcommands: ``certify`` runs a certification campaign over a dataset CSV,
 data-dependent against fixed-scale certification, and ``report`` recomputes
 metrics from an existing results CSV. Exit codes: 0 success, 1 runtime
 error, 2 usage error. The environment variable CERTSMOOTH_SEED supplies the
-default seed when --seed is not given.
+default seed when --seed is not given; every seed lies in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -29,11 +29,14 @@ from .smoothing import GaussianCertConfig, draw_noise
 __all__ = ["build_parser", "cli_main", "main"]
 
 
-def _seed(args) -> int:
-    """--seed, else the CERTSMOOTH_SEED environment variable, else 0."""
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("CERTSMOOTH_SEED", "0"))
+def _seed(args, count: int = 1) -> int:
+    """--seed, else the CERTSMOOTH_SEED environment variable, else 0; it and the
+    last of ``count`` seeds from it must lie in [0, 2**64)."""
+    first = args.seed if args.seed is not None else int(os.environ.get("CERTSMOOTH_SEED", "0"))
+    for seed in (first, first + count - 1):
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return first
 
 
 def _add_cert_flags(p: argparse.ArgumentParser) -> None:
@@ -167,9 +170,10 @@ def _cmd_certify(args) -> int:
 def _cmd_optimize_sigma(args) -> int:
     from .classifiers import load_classifier  # looked up at call time, as in certify
 
+    seed = _seed(args)
     c = load_classifier(args.classifier)
     x = np.array([float(v) for v in args.point.split(",")])
-    rng = np.random.default_rng(np.random.SeedSequence([_seed(args)]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     sigma_star, trace = optimize_sigma(c, x, _opt_config(args),
                                        draw_noise(rng, args.n, c.dim), args.sigma0)
     print("iter,sigma,proxy_radius,top_class")
@@ -185,7 +189,7 @@ def _cmd_train_demo(args) -> int:
                          f"and {args.epochs}")
     if args.n_train < 1 or args.n_test < 1 or args.n_cert < 100:  # 100: the demo's n0
         raise ValueError("need --n-train >= 1, --n-test >= 1 and --n-cert >= 100")
-    first = _seed(args)
+    first = _seed(args, args.seeds)
     results = []
     for s in range(first, first + args.seeds):
         res = run_training_demo(seed=s, n_train=args.n_train, n_test=args.n_test,

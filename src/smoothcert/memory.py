@@ -12,10 +12,10 @@ at c' lies inside the ball of radius R at c, and balls with
 ||c - c'|| >= r + r' share no interior point.
 
 The store keeps its regions only as numpy arrays. A memory file is parsed
-line by line and checked as columns, and written one formatted line per
-region. Every overlap decision is a numpy screen that keeps each entry that
-could touch, then the exact scalar test over those in insertion order (on
-insert) or in (i, j) order (on load), so results equal a full scalar scan's.
+and checked line by line, and written one formatted line per region. Every
+overlap decision is a numpy screen that keeps each entry that could touch,
+then the exact scalar test over those in insertion order (on insert) or in
+(i, j) order (on load), so results equal a full scalar scan's.
 On insert that screen is one matrix-vector product over cached squared norms
 (an L2 screen, valid for L1 stores since ||x||_2 <= ||x||_1), and each entry
 it keeps is screened again against the region's current radius.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -324,74 +323,50 @@ def _checked_row(obj: dict, first: tuple | None) -> tuple:
     row = center, radius, pred, sigma, norm = _FIELDS(obj)
     if type(pred) is not int or not 0 <= pred < 2**63:  # stored as int64
         raise ValueError(f"prediction must be a JSON integer in [0, 2**63), got {pred!r}")
-    if type(center) is not list or not center or not {*map(type, center)} <= _NUMBERS:
+    if type(center) is not list or not center or not _NUMBERS.issuperset(map(type, center)):
         raise ValueError("center must be a non-empty JSON array of numbers, got "
                          f"{center!r}")
-    for name, value in (("radius", radius), ("sigma", sigma)):
-        if type(value) not in _NUMBERS:
-            raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    if type(radius) not in _NUMBERS or type(sigma) not in _NUMBERS:
+        name, value = ("radius", radius) if type(radius) not in _NUMBERS else ("sigma", sigma)
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
     if norm not in (NORM_L2, NORM_L1):
         raise ValueError(f"unknown norm {norm!r}")
     first = first or row
     if norm != first[4] or len(center) != len(first[0]):
         _check_compatible((first[4], len(first[0])), (norm, len(center)))
-    if not all(map(math.isfinite, (*center, radius, sigma))) or radius < 0:
+    if not (all(map(math.isfinite, center)) and math.isfinite(radius)
+            and math.isfinite(sigma)) or radius < 0:
         raise ValueError("center, radius and sigma must be finite and radius >= 0, "
                          f"got {row[:4]}")
     return row
 
 
-def _parsed_columns(lines):
-    """(centers, radii, predictions, sigmas, norms) of a memory file's lines, or
-    None unless each non-blank one is a JSON object that ``_checked_row`` passes."""
-    decode, rows = json.JSONDecoder().raw_decode, []
-    for line in lines:
-        if line := line.strip(_JSON_WS):
-            obj, end = decode(line)
-            if end != len(line):
-                return None
-            rows.append(_FIELDS(obj))
-    if not rows:
-        return ()
-    centers, radii, preds, sigmas, norms = zip(*rows)
-    if not ({*map(type, preds)} <= {int} and 0 <= min(preds) and max(preds) < 2**63
-            and {*map(type, centers)} == {list} and {*map(len, centers)} == {len(centers[0])}
-            and centers[0] and {*map(type, chain.from_iterable(centers))} <= _NUMBERS
-            and {*map(type, radii), *map(type, sigmas)} <= _NUMBERS
-            and norms[0] in (NORM_L2, NORM_L1) and norms.count(norms[0]) == len(norms)):
-        return None
-    centers, radii, sigmas = (np.asarray(v, dtype=float) for v in (centers, radii, sigmas))
-    if not (np.isfinite(centers).all() and np.isfinite(radii).all()
-            and np.isfinite(sigmas).all() and (radii >= 0).all()):
-        return None
-    return centers, radii, preds, sigmas, norms
-
-
 def load_memory(path) -> MemoryStore:
     """Read a JSON-lines memory file once (it may be a pipe), re-validating the
-    no-overlap invariant. Every line is checked in full as columns (JSON types,
-    the first line's norm and dimension, finite values, radius >= 0); when that
-    fails, the same lines are then checked one by one to raise on the first bad
-    line, naming path and line. Then the first overlapping differently-predicted
-    pair (i < j) is named."""
+    no-overlap invariant. Each non-blank line is decoded and checked in full by
+    ``_checked_row`` (JSON types, the first line's norm and dimension, finite
+    values, radius >= 0); the first bad line raises, naming path and line, with
+    ``json.loads``'s own message when it does not parse. Then the first
+    overlapping differently-predicted pair (i < j) is named."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()  # universal newlines, as iterating fh; not str.splitlines
-    try:
-        columns = _parsed_columns(lines)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-        columns = None
-    if columns is None:
-        rows = []
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                if line.strip():
-                    rows.append(_checked_row(json.loads(line), rows[0] if rows else None))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
-        columns = tuple(zip(*rows))
+    decode, rows = json.JSONDecoder().raw_decode, []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if line.strip():
+                text = line.strip(_JSON_WS)
+                try:
+                    obj, end = decode(text)
+                except (ValueError, RecursionError):
+                    end = None
+                if end != len(text):  # json.loads raises, with offsets into the line
+                    obj = json.loads(line)
+                rows.append(_checked_row(obj, rows[0] if rows else None))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"{path}: bad region on line {lineno}: {exc}") from exc
     store = MemoryStore()
-    if columns:
-        centers, radii, preds, sigmas, norms = columns
+    if rows:
+        centers, radii, preds, sigmas, norms = zip(*rows)
         store._use(np.asarray(centers, dtype=float), radii, preds, sigmas, len(radii))
         store.norm, store._size = norms[0], len(radii)
     _validate_invariant(store)

@@ -433,6 +433,58 @@ class TestTrainDemo:
         assert not out.exists()
 
 
+class TestSeedRange:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        for name in ("run_campaign", "run_training_demo", "optimize_sigma"):
+            monkeypatch.setattr(cli, name, ran)
+
+    def command_args(self, command, data, clf, out):
+        return {"certify": certify_args(data, clf, out),
+                "optimize-sigma": ["optimize-sigma", "--classifier", str(clf),
+                                   "--point", "1.0,0.0", "--sigma0", "0.25"],
+                "train-demo": ["train-demo", "--epochs", "1", "--out-json", str(out)],
+                }[command]
+
+    @pytest.mark.parametrize("command", ["certify", "optimize-sigma", "train-demo"])
+    @pytest.mark.parametrize("flag,env,shown", [
+        (["--seed", "-1"], None, -1), (["--seed", str(2**64)], None, 2**64),
+        ([], "-5", -5)], ids=["minus_one", "two_to_the_64", "env_minus_five"])
+    def test_seed_outside_the_range_fails_before_any_work(self, workspace, monkeypatch,
+                                                          capsys, no_work, command, flag,
+                                                          env, shown):
+        tmp, data, clf = workspace
+        out = tmp / "out"
+        monkeypatch.delenv("CERTSMOOTH_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CERTSMOOTH_SEED", env)
+        assert cli_main(self.command_args(command, data, clf, out) + flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed must lie in [0, 2**64), got {shown}" in captured.err
+        assert not out.exists()
+
+    def test_last_demo_seed_outside_the_range_fails_before_training(self, workspace,
+                                                                   capsys, no_work):
+        tmp, data, clf = workspace
+        out = tmp / "out"
+        args = self.command_args("train-demo", data, clf, out)
+        assert cli_main(args + ["--seeds", "2", "--seed", str(2**64 - 1)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed must lie in [0, 2**64), got {2**64}" in captured.err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, workspace, capsys):
+        tmp, data, clf = workspace
+        args = self.command_args("optimize-sigma", data, clf, tmp / "out")
+        assert cli_main(args + ["--iters", "2", "--n", "8", "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().out.startswith("iter,sigma,proxy_radius,top_class\n")
+
+
 def test_python_dash_m_runs_cli_main(workspace, capsys):
     tmp, data, clf = workspace
     out = tmp / "r.csv"

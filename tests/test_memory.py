@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothcert.memory import (CertifiedRegion, MemoryInvariantError,
-                               MemoryStore, audit,
+                               MemoryStore, _checked_row, audit,
                                largest_in_subset, largest_out_subset,
                                load_memory, memory_insert, save_memory)
 
@@ -177,7 +177,7 @@ def translated_regions(rng, k, d, norm, n):
                     radius=scale * r.radius) for r in regions]
 
 
-# Lines for files whose load outcome must not depend on which path checks them.
+# Single lines, good and bad in each way a memory-file line can be.
 _GOOD = '{{"center": [{}], "radius": 0.5, "prediction": {}, "sigma": 0.25, "norm": "l2"}}'
 LINE_VARIANTS = [
     _GOOD.format("0.0", 0), _GOOD.format("10.0", 1), _GOOD.format("20", 2),
@@ -921,16 +921,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 2: center, radius and sigma must be finite"):
             load_memory(path)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(LINE_VARIANTS), max_size=6),
-           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
-    def test_column_checks_match_the_per_line_path(self, tmp_path_factory, lines, newline,
-                                                  last_newline):
-        path = tmp_path_factory.mktemp("lines") / "memory.jsonl"
-        path.write_bytes((newline.join(lines) + newline * last_newline).encode())
-        with mock.patch("smoothcert.memory._parsed_columns", return_value=None):
-            per_line = load_outcome(path)
-        assert load_outcome(path) == per_line
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("line", LINE_VARIANTS + [
+        "\ufeff" + _GOOD.format("0.0", 0), _GOOD.format("0.0", 0) + " x",
+        "\x0c" + _GOOD.format("0.0", 0)])
+    def test_a_line_fails_as_json_loads_or_the_row_check_does(self, tmp_path, line, newline):
+        path = tmp_path / "memory.jsonl"
+        path.write_bytes((line + newline).encode())
+        if not line.strip():
+            assert len(load_memory(path)) == 0
+            return
+        try:  # universal newlines end every line read with "\n"
+            row = _checked_row(json.loads(line + "\n"), None)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            with pytest.raises(ValueError) as got:
+                load_memory(path)
+            assert str(got.value) == f"{path}: bad region on line 1: {exc}"
+        else:
+            center, radius, prediction, sigma, norm = row
+            assert load_memory(path).regions == [region(center, radius, prediction, sigma, norm)]
+
+    def test_a_deeply_nested_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(_GOOD.format("0.0", 0) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_memory(path)
+        assert str(exc.value).startswith(f"{path}: bad region on line 2: maximum recursion depth")
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("name", FILE_VARIANTS)
