@@ -261,11 +261,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class TinyMLP:
-    """Two-layer perceptron: tanh hidden layer, softmax head, numpy-only.
+    """Two-layer perceptron: tanh hidden layer, softmax head, no autodiff framework.
 
     Forward, input-Jacobian, and the cross-entropy parameter step are all
-    written out explicitly so training needs no autodiff framework. Mutation
-    happens only through ``train_step``; callers must serialize training.
+    written out explicitly. Mutation happens only through ``train_step``;
+    callers must serialize training.
     """
 
     def __init__(self, dim: int, hidden: int, num_classes: int, rng=None):
@@ -396,24 +396,25 @@ def nested_ball_smoothed_prob(rho: float, x, sigma: float) -> float:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
+_BUILDERS = {
+    "constant": constant_classifier,
+    "affine_softmax": affine_softmax_classifier,
+    "hard_halfspace": hard_halfspace_classifier,
+    "probit_halfspace": probit_halfspace_classifier,
+    "nested_ball": nested_ball_classifier,
+    "mlp": lambda *, w1, b1, w2, b2: mlp_classifier(
+        TinyMLP.from_state({"w1": w1, "b1": b1, "w2": w2, "b2": b2})),
+}
+
+
 def classifier_from_config(cfg: dict) -> ClassifierHandle:
-    """Build a classifier from a {"kind": ..., parameters...} document."""
+    """Build a classifier from a {"kind": ..., builder arguments...} document."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("classifier config must be an object with a 'kind' field")
-    kind = cfg["kind"]
-    if kind == "constant":
-        return constant_classifier(cfg["probs"], cfg["dim"])
-    if kind == "affine_softmax":
-        return affine_softmax_classifier(cfg["weights"], cfg["bias"])
-    if kind == "hard_halfspace":
-        return hard_halfspace_classifier(cfg["w"], cfg["b"])
-    if kind == "probit_halfspace":
-        return probit_halfspace_classifier(cfg["w"], cfg["b"], cfg["s"])
-    if kind == "nested_ball":
-        return nested_ball_classifier(cfg["rho"], cfg["dim"])
-    if kind == "mlp":
-        return mlp_classifier(TinyMLP.from_state(cfg))
-    raise ValueError(f"unknown classifier kind {kind!r}")
+    kind, params = cfg["kind"], {k: v for k, v in cfg.items() if k != "kind"}
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    return _BUILDERS[kind](**params)
 
 
 def classifier_to_config(c: ClassifierHandle) -> dict:

@@ -32,7 +32,11 @@ __all__ = ["build_parser", "cli_main", "main"]
 def _seed(args, count: int = 1) -> int:
     """--seed, else the CERTSMOOTH_SEED environment variable, else 0; it and the
     last of ``count`` seeds from it must lie in [0, 2**64)."""
-    first = args.seed if args.seed is not None else int(os.environ.get("CERTSMOOTH_SEED", "0"))
+    env = os.environ.get("CERTSMOOTH_SEED", "0")
+    try:
+        first = args.seed if args.seed is not None else int(env)
+    except ValueError:
+        raise ValueError(f"CERTSMOOTH_SEED must be an integer seed in [0, 2**64), got {env!r}")
     for seed in (first, first + count - 1):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
@@ -151,6 +155,8 @@ def _cmd_certify(args) -> int:
                        ("--memory-out", args.memory_out)):
         if path and (first := flags.setdefault(os.path.realpath(path), flag)) != flag:
             raise ValueError(f"{first} and {flag} name the same file: {path}")
+    if args.mode == "fixed" and (args.memory_in or args.memory_out):
+        raise ValueError("--memory-in and --memory-out need --mode ds or ds_l1")
     cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,
                               alpha_fail=args.alpha_fail, seed=_seed(args))
     cfg = CampaignConfig(mode=args.mode, sigma0=args.sigma0, cert=cert,
@@ -211,7 +217,7 @@ def _cmd_train_demo(args) -> int:
 def _cmd_report(args) -> int:
     records = read_report_csv(args.in_path)
     metrics = metrics_from_records(records, checked_radii_grid(_parse_radii(args.radii)))
-    payload = metrics.to_dict()
+    payload = asdict(metrics)
     del payload["overlap_events"]  # the results CSV does not carry the count
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0

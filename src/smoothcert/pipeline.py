@@ -19,7 +19,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class LabeledDataset:
         labels = np.asarray(self.labels, dtype=int)
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {points.shape}")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points must be finite")
         if labels.shape != (points.shape[0],):
             raise ValueError("labels must align with points")
         if np.any(labels < 0):
@@ -175,12 +177,6 @@ class MetricsSummary:
     abstain_rate: float
     overlap_events: int
     n_inputs: int
-
-    def to_dict(self) -> dict:
-        return {"radii": list(self.radii),
-                "certified_accuracy": list(self.certified_accuracy),
-                "acr": self.acr, "abstain_rate": self.abstain_rate,
-                "overlap_events": self.overlap_events, "n_inputs": self.n_inputs}
 
 
 @dataclass(frozen=True)
@@ -431,7 +427,7 @@ def emit_report(records: list[CertRecord], metrics: MetricsSummary, csv_path,
                              repr(rec.radius), repr(rec.sigma_star),
                              repr(rec.p_lower), int(rec.adjusted)])
     if json_path:
-        payload = {"metrics": metrics.to_dict()}
+        payload = {"metrics": asdict(metrics)}
         if config_echo is not None:
             payload["config"] = config_echo
         with open(json_path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassifierHandle, as_point
+from .classifiers import ClassifierHandle
 from .smoothing import (NOISE_UNIFORM, NoiseBatch, _pick, plugin_radii,
                         proxy_radius, proxy_radius_l1)
 from .stats import P_CLAMP, clamp_probability, std_normal_pdf, std_normal_quantile
@@ -25,7 +25,6 @@ __all__ = [
     "SigmaOptConfig",
     "TraceEntry",
     "SigmaTrace",
-    "grad_sigma",
     "optimize_sigma",
     # One-scale views of the objective, kept importable from this module
     # because the benchmark's span tracer hooks them here by name.
@@ -134,7 +133,12 @@ def _score(c, x, sigma: np.ndarray, noise: NoiseBatch, mode: str, fd_step: float
 
 
 def _analytic_slope(c, x, sigma, noise, psi, a, b):
-    """Chain-rule slope from the means psi at sigma, top class a, runner-up b."""
+    """Chain-rule slope from the means psi at sigma, top class a, runner-up b:
+    for L2, dR/ds = (Phi^{-1}(E_A) - Phi^{-1}(E_B)) / 2
+                   + s/2 * (E_A' / phi(Phi^{-1}(E_A)) - E_B' / phi(Phi^{-1}(E_B)))
+    with E_c' the mean of eps_i . grad f^c over the batch (a clamped mean
+    contributes zero slope); for L1, dR/ds = E_A - E_B + s * (E_A' - E_B').
+    """
     pts = x[..., None, :] + sigma[..., None, None] * noise.draws
     grads = c.input_grads(pts.reshape(-1, c.dim)).reshape(
         pts.shape[:-1] + (c.num_classes, c.dim))  # (..., n, k, d)
@@ -150,24 +154,6 @@ def _analytic_slope(c, x, sigma, noise, psi, a, b):
         return np.where(inside, 0.5 * sigma * e / std_normal_pdf(z), 0.0)
 
     return 0.5 * (za - zb) + term(pa, za, ea) - term(pb, zb, eb)
-
-
-def grad_sigma(c: ClassifierHandle, x, sigma: float, noise: NoiseBatch,
-               mode: str, fd_step: float = 1e-3) -> float:
-    """Derivative of the plug-in radius with respect to the noise scale.
-
-    ``scalar_fd`` takes a central difference of the realized objective with
-    the same noise batch on both sides. ``analytic`` expands the chain rule:
-    for L2, dR/ds = (Phi^{-1}(E_A) - Phi^{-1}(E_B)) / 2
-                   + s/2 * (E_A' / phi(Phi^{-1}(E_A)) - E_B' / phi(Phi^{-1}(E_B)))
-    with E_c' the mean of eps_i . grad f^c over the batch; a clamped mean
-    contributes zero slope, matching the differentiated objective. The norm
-    follows the noise kind.
-    """
-    if mode not in (GRAD_ANALYTIC, GRAD_SCALAR_FD):
-        raise ValueError(f"unknown grad mode {mode!r}")
-    return float(_score(c, as_point(x), np.asarray(float(sigma)), noise, mode,
-                        fd_step)[2])
 
 
 def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,

@@ -175,7 +175,7 @@ def draw_noise(rng: np.random.Generator, n: int, dim: int,
 def vote_counts(c: ClassifierHandle, x, scale: float, n: int,
                 rng: np.random.Generator, kind: str = NOISE_GAUSSIAN,
                 split: int | None = None) -> np.ndarray:
-    """Per-class counts of ``c.labels`` at x + scale * noise; with ``split``,
+    """Per-class counts of ``c.vote_labels`` at x + scale * noise; with ``split``,
     one row for the first ``split`` votes and one for the rest.
 
     A label is the argmax of the soft output, ties going to the lowest class

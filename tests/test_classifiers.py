@@ -175,6 +175,21 @@ class TestSmoothedOracles:
         with pytest.raises(ValueError):
             probit_halfspace_smoothed_prob([2.0, 0.0], 0.0, 0.5, [1.0, 0.0], 0.5)
 
+    @pytest.mark.parametrize("oracle,args,message", [
+        (halfspace_smoothed_prob, ([0.0, 0.0], 0.0, [1.0, 0.0], 1.0), "w must be nonzero"),
+        (halfspace_smoothed_prob, ([1.0, 0.0], 0.0, [1.0, 0.0], 0.0),
+         "sigma must be positive, got 0.0"),
+        (probit_halfspace_smoothed_prob, ([1.0, 0.0], 0.0, 0.0, [1.0, 0.0], 0.5),
+         "s must be positive, got 0.0"),
+        (probit_halfspace_smoothed_prob, ([1.0, 0.0], 0.0, 0.5, [1.0, 0.0], -0.1),
+         "sigma must be nonnegative, got -0.1"),
+    ], ids=["halfspace_zero_w", "halfspace_zero_sigma", "probit_zero_s",
+            "probit_negative_sigma"])
+    def test_halfspace_oracles_reject_bad_arguments(self, oracle, args, message):
+        with pytest.raises(ValueError) as info:
+            oracle(*args)
+        assert str(info.value) == message
+
     def test_nested_ball_origin_closed_form(self):
         # chi-squared(2): P(||eps|| <= rho) = 1 - exp(-rho^2 / (2 sigma^2))
         assert nested_ball_smoothed_prob(1.0, [0.0, 0.0], 1.0) == \
@@ -303,6 +318,24 @@ class TestTinyMLP:
         with pytest.raises(ValueError):
             TinyMLP(2, 64, 2)
 
+    def test_state_round_trip(self):
+        mlp = TinyMLP(3, 8, 4, rng=np.random.default_rng(5))
+        pts = np.random.default_rng(6).normal(size=(10, 3))
+        assert np.array_equal(TinyMLP.from_state(mlp.state()).probs(pts), mlp.probs(pts))
+
+
+# The smallest valid document of every kind.
+CONFIGS = {
+    "constant": {"kind": "constant", "probs": [0.5, 0.5], "dim": 2},
+    "affine_softmax": {"kind": "affine_softmax", "weights": [[1.0, 0.0], [0.0, 1.0]],
+                       "bias": [0.0, 0.0]},
+    "hard_halfspace": {"kind": "hard_halfspace", "w": [1.0, 0.0], "b": 0.0},
+    "probit_halfspace": {"kind": "probit_halfspace", "w": [1.0, 0.0], "b": 0.0, "s": 0.5},
+    "nested_ball": {"kind": "nested_ball", "rho": 1.0, "dim": 2},
+    "mlp": {"kind": "mlp", "w1": [[1.0, 0.0]], "b1": [0.0], "w2": [[1.0], [-1.0]],
+            "b2": [0.0, 0.0]},
+}
+
 
 class TestJsonConfig:
     @pytest.mark.parametrize("builder", [
@@ -324,9 +357,46 @@ class TestJsonConfig:
         pts = rng.normal(size=(20, c.dim))
         assert np.allclose(c.probs(pts), c2.probs(pts), atol=1e-12)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            classifier_from_config({"kind": "resnet"})
+    @pytest.mark.parametrize("kind", ["resnet", ["probit_halfspace"], None, 3,
+                                      {"kind": "mlp"}])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown classifier kind"):
+            classifier_from_config({**CONFIGS["probit_halfspace"], "kind": kind})
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_extra_key_is_named(self, kind):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'sigma'"):
+            classifier_from_config({**CONFIGS[kind], "sigma": 0.25})
+
+    @pytest.mark.parametrize("kind,key", [(kind, key) for kind, cfg in CONFIGS.items()
+                                          for key in cfg if key != "kind"])
+    def test_missing_key_is_named(self, kind, key):
+        cfg = {k: v for k, v in CONFIGS[kind].items() if k != key}
+        with pytest.raises(TypeError, match=f"missing 1 required .*argument: '{key}'"):
+            classifier_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"kind": "affine_softmax", "weights": [1.0, 0.0], "bias": [0.0, 0.0]},
+         "weights must be (k, d) and bias (k,)"),
+        ({"kind": "affine_softmax", "weights": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0]},
+         "weights must be (k, d) and bias (k,)"),
+        ({"kind": "hard_halfspace", "w": [0.0, 0.0], "b": 0.0}, "w must be nonzero"),
+        ({"kind": "probit_halfspace", "w": [0.0, 0.0], "b": 0.0, "s": 0.5},
+         "w must be nonzero"),
+        ({"kind": "probit_halfspace", "w": [1.0, 0.0], "b": 0.0, "s": 0.0},
+         "s must be positive, got 0.0"),
+        ({"kind": "probit_halfspace", "w": [1.0, 0.0], "b": 0.0, "s": -0.5},
+         "s must be positive, got -0.5"),
+        ({"kind": "hard_halfspace", "w": [[1.0, 0.0]], "b": 0.0},
+         "a point must be a 1-D vector, got shape (1, 2)"),
+        ({"kind": "probit_halfspace", "w": [], "b": 0.0, "s": 0.5},
+         "a point must be a 1-D vector, got shape (0,)"),
+    ], ids=["affine_one_d_weights", "affine_short_bias", "hard_zero_w", "probit_zero_w",
+            "probit_zero_s", "probit_negative_s", "hard_matrix_w", "probit_empty_w"])
+    def test_bad_builder_arguments_rejected(self, cfg, message):
+        with pytest.raises(ValueError) as info:
+            classifier_from_config(cfg)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("cfg", [
         {"kind": "constant", "probs": [math.nan, 1.0], "dim": 2},

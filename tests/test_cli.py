@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import smoothcert
-from smoothcert import cli
+from smoothcert import cli, memory
 from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
@@ -134,7 +134,12 @@ class TestCertify:
         ("0.5,0.5,1\n2\n", None, "line 2: need at least one feature and a label"),
         (None, {"w": [1.0, 0.0], "b": 0.0, "s": 0.5},
          "classifier config must be an object with a 'kind' field"),
-    ], ids=["dim_mismatch", "one_field_line", "classifier_without_kind"])
+        (None, {"kind": "probit_halfspace", "w": [1.0, 0.0], "b": 0.0, "s": 0.5,
+                "sigma": 0.25}, "unexpected keyword argument 'sigma'"),
+        (None, {"kind": "probit_halfspace", "w": [1.0, 0.0], "b": 0.0},
+         "missing 1 required positional argument: 's'"),
+    ], ids=["dim_mismatch", "one_field_line", "classifier_without_kind",
+            "classifier_extra_key", "classifier_missing_key"])
     def test_unfit_input_fails_before_writing(self, workspace, capsys, data, clf,
                                               message):
         tmp, data_path, clf_path = workspace
@@ -242,6 +247,34 @@ class TestCertify:
         err = capsys.readouterr().err
         assert f"{first} and {second} name the same file" in err
         assert not (tmp / clash).exists()
+
+    @pytest.mark.parametrize("flags", [("--memory-in",), ("--memory-out",),
+                                       ("--memory-in", "--memory-out")])
+    def test_fixed_mode_rejects_the_memory_flags_before_any_work(
+            self, workspace, monkeypatch, capsys, flags):
+        tmp, data, clf = workspace
+        mem = tmp / "m.jsonl"
+        assert cli_main(certify_args(data, clf, tmp / "a.csv",
+                                     ["--memory-out", str(mem)])) == 0
+        before = mem.read_bytes()
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_work)
+        monkeypatch.setattr(memory, "load_memory", no_work)
+        paths = {"--memory-in": mem, "--memory-out": tmp / "m2.jsonl"}
+        args = certify_args(data, clf, tmp / "r.csv",
+                            [v for flag in flags for v in (flag, str(paths[flag]))])
+        args[args.index("ds")] = "fixed"
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--memory-in and --memory-out need --mode ds or ds_l1" in captured.err
+        assert mem.read_bytes() == before
+        assert not any((tmp / name).exists()
+                       for name in ("r.csv", "r.csv.metrics.json", "m2.jsonl"))
 
     def test_memory_out_may_update_memory_in(self, workspace):
         tmp, data, clf = workspace
@@ -466,6 +499,27 @@ class TestSeedRange:
         assert captured.out == ""
         assert f"seed must lie in [0, 2**64), got {shown}" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "optimize-sigma", "train-demo"])
+    @pytest.mark.parametrize("env", ["abc", "1.5", ""])
+    def test_env_seed_that_is_not_an_integer_is_named(self, workspace, monkeypatch,
+                                                      capsys, no_work, command, env):
+        tmp, data, clf = workspace
+        out = tmp / "out"
+        monkeypatch.setenv("CERTSMOOTH_SEED", env)
+        assert cli_main(self.command_args(command, data, clf, out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("CERTSMOOTH_SEED must be an integer seed in [0, 2**64), "
+                f"got {env!r}") in captured.err
+        assert not out.exists()
+
+    def test_seed_flag_wins_over_a_bad_env_seed(self, workspace, monkeypatch, capsys):
+        tmp, data, clf = workspace
+        monkeypatch.setenv("CERTSMOOTH_SEED", "abc")
+        args = self.command_args("optimize-sigma", data, clf, tmp / "out")
+        assert cli_main(args + ["--iters", "2", "--n", "8", "--seed", "3"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_last_demo_seed_outside_the_range_fails_before_training(self, workspace,
                                                                    capsys, no_work):

@@ -224,6 +224,10 @@ class TestRegion:
         with pytest.raises(ValueError):
             region((0.0,), 0.5, 0, norm="linf")
 
+    def test_empty_center_rejected(self):
+        with pytest.raises(ValueError, match="center must have at least one coordinate"):
+            region((), 0.5, 0)
+
     def test_abstain_prediction_rejected(self):
         with pytest.raises(ValueError, match="prediction"):
             region((0.0,), 0.5, -1)

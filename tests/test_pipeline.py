@@ -99,6 +99,31 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="line 3.*finite"):
             load_dataset(p)
 
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n0.1,0.2,1\n\n0.3,0.4,0\n\n")
+        ds = load_dataset(p)
+        assert ds.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert ds.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("points,labels,message", [
+        ([0.1, 0.2], [1, 0], "points must be 2-D, got shape (2,)"),
+        ([[0.1, 0.2], [0.3, 0.4]], [1], "labels must align with points"),
+        ([[0.1, 0.2], [0.3, 0.4]], [1, -1], "labels must be nonnegative class indices"),
+        ([[0.1, 0.2], [0.3, math.nan]], [1, 0], "points must be finite"),
+        ([[0.1, -math.inf], [0.3, 0.4]], [1, 0], "points must be finite"),
+    ], ids=["one_d", "misaligned", "negative_label", "nan", "inf"])
+    def test_bad_dataset_rejected(self, points, labels, message):
+        with pytest.raises(ValueError) as info:
+            LabeledDataset(np.asarray(points), np.asarray(labels))
+        assert str(info.value) == message
+
+    def test_save_rejects_a_length_mismatch(self, tmp_path):
+        p = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match="points and labels must have equal length"):
+            save_dataset_csv(np.zeros((3, 2)), np.zeros(2, dtype=int), p)
+        assert not p.exists()
+
 
 class TestMetrics:
     def test_curve_reference_point(self):
@@ -161,6 +186,11 @@ class TestRunCampaign:
         cfg = self._cfg(mode)
         with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
             CampaignConfig(mode=mode, sigma0=sigma0, cert=cfg.cert, opt=cfg.opt)
+
+    def test_unknown_mode_rejected(self):
+        cfg = self._cfg(MODE_FIXED)
+        with pytest.raises(ValueError, match="unknown mode 'ds_linf'"):
+            CampaignConfig(mode="ds_linf", sigma0=0.25, cert=cfg.cert, opt=cfg.opt)
 
     @pytest.mark.parametrize("mode", [MODE_DS, MODE_DS_L1])
     def test_sigma0_outside_the_ascent_bounds_rejected_in_ds_modes(self, mode):
@@ -472,6 +502,9 @@ class TestTrainBatch:
             train_batch(c, np.zeros((2, 2)), np.zeros(2, dtype=int),
                         np.full(2, 0.25), cfg,
                         GaussianAugmentationTrainer(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="kind='constant' is not trainable"):
+            GaussianAugmentationTrainer()(c, np.zeros((2, 2)), np.zeros(2, dtype=int),
+                                          np.full(2, 0.25), np.random.default_rng(0))
 
 
 class TestReports:
@@ -503,6 +536,14 @@ class TestReports:
         assert abs(recomputed.acr - stored["acr"]) < 1e-9
         assert list(recomputed.certified_accuracy) == \
             stored["certified_accuracy"]
+
+    def test_blank_rows_skipped_on_read(self, tmp_path):
+        records = self._records()
+        csv_path = tmp_path / "r.csv"
+        emit_report(records, metrics_from_records(records, (0.0, 0.5)), csv_path)
+        header, *rows = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([header, "", rows[0], "", *rows[1:], ""]) + "\n")
+        assert read_report_csv(csv_path) == records
 
     def test_campaign_reports_are_byte_identical(self, tmp_path):
         ds, c = probit_setup(n=8, seed=21)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smoothcert import sigma_opt
 from smoothcert.classifiers import (ClassifierHandle,
                                     DerivativeUnsupportedError,
                                     affine_softmax_classifier,
@@ -15,7 +16,7 @@ from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier)
 from smoothcert.sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD,
                                   RETURN_BEST_ITERATE, RETURN_FAITHFUL,
-                                  SigmaOptConfig, grad_sigma, optimize_sigma)
+                                  SigmaOptConfig, optimize_sigma)
 from smoothcert.smoothing import NoiseBatch, draw_noise, plugin_radii, proxy_radius
 from smoothcert.stats import clamp_probability, std_normal_quantile
 
@@ -58,6 +59,16 @@ class TestConfig:
             SigmaOptConfig(sigma_min=0.0)
         with pytest.raises(ValueError):
             SigmaOptConfig(grad_mode="newton")
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"iters_k": -1}, "iters_k must be >= 0, got -1"),
+        ({"n_samples": 0}, "n_samples must be >= 1, got 0"),
+        ({"return_mode": "last"}, "unknown return mode 'last'"),
+    ])
+    def test_bad_settings_rejected(self, kw, message):
+        with pytest.raises(ValueError) as info:
+            SigmaOptConfig(**kw)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("field", ["step_alpha", "sigma_min", "sigma_max",
                                        "fd_step"])
@@ -273,6 +284,12 @@ class TestBatchedAscent:
         at_bound = optimize_sigma(c, [0.5, 0.0], cfg, seeded_noise(cfg, 2, 3), bound)
         assert out[0] == at_bound[0] and out[1][0].sigma == bound
         assert out[1].entries == at_bound[1].entries
+
+
+def grad_sigma(c, x, sigma, noise, mode, fd_step=1e-3) -> float:
+    """The scale slope the ascent takes at one point and one scale."""
+    return float(sigma_opt._score(c, np.asarray(x, dtype=float), np.asarray(sigma),
+                                  noise, mode, fd_step)[2])
 
 
 class TestGradSigma:

@@ -36,6 +36,17 @@ class TestConfigAndOutcome:
         out = CertificationOutcome(ABSTAIN, 0.0, 0.4, 100)
         assert out.abstained and out.radius == 0.0
 
+    @pytest.mark.parametrize("prediction", [ABSTAIN, 0])
+    def test_negative_radius_rejected(self, prediction):
+        with pytest.raises(ValueError, match="radius must be >= 0, got -0.5"):
+            CertificationOutcome(prediction, -0.5, 0.4, 100)
+
+    def test_unknown_noise_kind_rejected_by_the_filler(self):
+        out = np.zeros(3)
+        with pytest.raises(ValueError, match="unknown noise kind 'poisson'"):
+            smoothing._fill_noise(np.random.default_rng(0), out, "poisson")
+        assert not out.any()
+
     def test_noise_batch_validation(self):
         with pytest.raises(ValueError):
             NoiseBatch("poisson", np.zeros((3, 2)))
@@ -429,6 +440,14 @@ class TestProxyRadius:
         noise = draw_noise(np.random.default_rng(0), 10, 2, kind="uniform")
         with pytest.raises(ValueError, match="scales must be"):
             plugin_radii(c, [0.0, 0.0], [0.5, bad], noise)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_plugin_radii_rejects_non_finite_points(self, bad):
+        c = constant_classifier([0.8, 0.2], dim=2)
+        noise = draw_noise(np.random.default_rng(0), 10, 2)
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            plugin_radii(c, [[0.0, 0.0], [bad, 0.0]], [[0.5], [0.5]],
+                         NoiseBatch("gaussian", np.broadcast_to(noise.draws, (2, 10, 2))))
 
     def test_wrong_noise_kind_rejected(self):
         c = constant_classifier([0.8, 0.2], dim=2)

@@ -220,6 +220,11 @@ class TestBinomLowerConfidence:
         with pytest.raises(ValueError):
             binom_lower_confidence(5, 10, 0.0)
 
+    @pytest.mark.parametrize("k,n", [(2.5, 10), (2, 10.5)])
+    def test_non_integer_counts_rejected(self, k, n):
+        with pytest.raises(ValueError, match=f"k and n must be integers, got k={k}, n={n}"):
+            binom_lower_confidence(k, n, 0.05)
+
     @given(st.integers(min_value=1, max_value=300))
     def test_k_equals_n_closed_form(self, n):
         for alpha in (0.05, 0.001):
