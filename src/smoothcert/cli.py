@@ -114,10 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _floats(text: str, flag: str) -> tuple[float, ...]:
+    """Comma-separated floats; an entry that does not parse is named by its flag."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _parse_radii(text: str | None) -> tuple[float, ...]:
-    if text is None:
-        return DEFAULT_RADII
-    return tuple(float(v) for v in text.split(","))
+    return DEFAULT_RADII if text is None else _floats(text, "--radii")
 
 
 def _opt_config(args) -> SigmaOptConfig:
@@ -150,11 +156,16 @@ def _cmd_certify(args) -> int:
     from .pipeline import emit_report, load_dataset
 
     metrics_out = args.metrics_out or args.out + ".metrics.json"
-    flags: dict[str, str] = {}  # real path -> output flag; --memory-in is not an output
-    for flag, path in (("--out", args.out), ("--metrics-out", metrics_out),
-                       ("--memory-out", args.memory_out)):
-        if path and (first := flags.setdefault(os.path.realpath(path), flag)) != flag:
-            raise ValueError(f"{first} and {flag} name the same file: {path}")
+    flags: dict[str, str] = {}  # real path -> the first flag naming it
+    for flag, path in (("--dataset", args.dataset), ("--classifier", args.classifier),
+                       ("--memory-in", args.memory_in), ("--out", args.out),
+                       ("--metrics-out", metrics_out), ("--memory-out", args.memory_out)):
+        first = flags.setdefault(real := os.path.realpath(path), flag) if path else flag
+        if path and flag.endswith("out"):  # an output; only --memory-out may name --memory-in
+            if first != flag and (first, flag) != ("--memory-in", "--memory-out"):
+                raise ValueError(f"{first} and {flag} name the same file: {path}")
+            if not os.path.isdir(os.path.dirname(real)):
+                raise ValueError(f"{flag}: the directory of {path} does not exist")
     if args.mode == "fixed" and (args.memory_in or args.memory_out):
         raise ValueError("--memory-in and --memory-out need --mode ds or ds_l1")
     cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,
@@ -177,8 +188,8 @@ def _cmd_optimize_sigma(args) -> int:
     from .classifiers import load_classifier  # looked up at call time, as in certify
 
     seed = _seed(args)
+    x = np.array(_floats(args.point, "--point"))
     c = load_classifier(args.classifier)
-    x = np.array([float(v) for v in args.point.split(",")])
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     sigma_star, trace = optimize_sigma(c, x, _opt_config(args),
                                        draw_noise(rng, args.n, c.dim), args.sigma0)
@@ -215,8 +226,8 @@ def _cmd_train_demo(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_report_csv(args.in_path)
-    metrics = metrics_from_records(records, checked_radii_grid(_parse_radii(args.radii)))
+    radii = checked_radii_grid(_parse_radii(args.radii))
+    metrics = metrics_from_records(read_report_csv(args.in_path), radii)
     payload = asdict(metrics)
     del payload["overlap_events"]  # the results CSV does not carry the count
     print(json.dumps(payload, sort_keys=True, indent=2))

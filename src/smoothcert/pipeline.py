@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -44,8 +43,6 @@ __all__ = [
     "train_batch",
     "run_training_demo",
     "GaussianAugmentationTrainer",
-    "certified_accuracy_curve",
-    "average_certified_radius",
     "checked_radii_grid",
     "emit_report",
     "read_report_csv",
@@ -286,31 +283,19 @@ def run_campaign(cfg: CampaignConfig, dataset: LabeledDataset,
 # Metrics
 # ---------------------------------------------------------------------------
 
-def certified_accuracy_curve(records: list[CertRecord],
-                             radii: tuple[float, ...]) -> tuple[float, ...]:
-    """Fraction of inputs correct AND certified at radius >= r, per grid radius."""
-    n = max(len(records), 1)  # an empty result set scores 0 at every radius
-    return tuple(sum(rec.correct and rec.radius >= r for rec in records) / n
-                 for r in radii)
-
-
-def average_certified_radius(records: list[CertRecord]) -> float:
-    """Mean of radius * 1{correct} over all rows; abstentions contribute 0."""
-    if not records:
-        warnings.warn("average certified radius of an empty result set is 0",
-                      stacklevel=2)
-        return 0.0
-    return float(sum(rec.radius for rec in records if rec.correct) / len(records))
-
-
 def metrics_from_records(records: list[CertRecord], radii: tuple[float, ...],
                          overlap_events: int = 0) -> MetricsSummary:
-    n = len(records)
-    abstain = sum(rec.prediction == ABSTAIN for rec in records)
+    """Certified accuracy per grid radius (the share of rows correct and
+    certified at radius >= r) and the ACR (mean of radius * 1{correct};
+    abstentions add 0). An empty result set scores 0 everywhere."""
+    n = max(len(records), 1)
+    correct_radii = [rec.radius for rec in records if rec.correct]
     return MetricsSummary(
-        radii=tuple(radii), certified_accuracy=certified_accuracy_curve(records, radii),
-        acr=average_certified_radius(records) if n else 0.0,
-        abstain_rate=abstain / max(n, 1), overlap_events=overlap_events, n_inputs=n)
+        radii=tuple(radii),
+        certified_accuracy=tuple(sum(x >= r for x in correct_radii) / n for r in radii),
+        acr=float(sum(correct_radii) / n),
+        abstain_rate=sum(rec.prediction == ABSTAIN for rec in records) / n,
+        overlap_events=overlap_events, n_inputs=len(records))
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +399,8 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
 def emit_report(records: list[CertRecord], metrics: MetricsSummary, csv_path,
                 json_path=None, config_echo: dict | None = None, *,
                 memory: MemoryStore | None = None, memory_path=None) -> None:
-    """Write the memory file (when ``memory_path`` is given), the per-input CSV
-    and the companion metrics JSON."""
-    if memory_path:
-        save_memory(memory, memory_path)
+    """Write the per-input CSV, the companion metrics JSON and, last, the memory
+    file (when ``memory_path`` is given), so a failed write leaves it as it was."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
@@ -433,6 +416,8 @@ def emit_report(records: list[CertRecord], metrics: MetricsSummary, csv_path,
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    if memory_path:
+        save_memory(memory, memory_path)
 
 
 def read_report_csv(path) -> list[CertRecord]:

@@ -110,9 +110,9 @@ def rng_for_input(seed: int, input_index: int, stream: int = 0) -> np.random.Gen
 
 def _seed_words(seed: int, rows, stream: int) -> np.ndarray:
     """``SeedSequence([seed & (2**64 - 1), i, stream]).generate_state(4, np.uint64)``
-    of every i in ``rows`` as a (len(rows), 4) array: numpy's mix_entropy and
-    generate_state on uint32 lanes. An int enters as its little-endian 32-bit
-    words, so rows below 2**32 and the rest are hashed apart."""
+    of every i in ``rows``, each in [0, 2**32), as a C-contiguous (len(rows), 4)
+    array: numpy's mix_entropy and generate_state on uint32 lanes, an int
+    entering as its little-endian 32-bit words."""
     def words(v: int) -> list[int]:
         return [v >> s & 0xFFFFFFFF for s in range(0, max(v.bit_length(), 1), 32)]
 
@@ -122,24 +122,21 @@ def _seed_words(seed: int, rows, stream: int) -> np.ndarray:
         return value ^ value >> 16
 
     rows = np.asarray(rows, dtype=np.uint64).reshape(-1)
-    out = np.empty((rows.size, 4), dtype=np.uint64)
-    for wide in np.unique(rows >> 32 > 0):
-        pick = (rows >> 32 > 0) == wide
-        lanes = [rows[pick] & 0xFFFFFFFF, rows[pick] >> 32][:1 + wide]
-        entropy = np.array(np.broadcast_arrays(*words(int(seed) & (2**64 - 1)), *lanes,
-                                               *words(int(stream))), dtype=np.uint32)
-        h = [0x43B0D7E5, 0x931E8875]
-        pool = [hashmix(w, h) for w in [*entropy, 0 * entropy[0]][:4]]  # 3+ words, 0-padded
-        for src in range(max(4, len(entropy))):  # the pool, then entropy beyond it
-            for dst in range(4):
-                if dst != src:
-                    mixed = (pool[dst] * 0xCA01F9DD
-                             - hashmix(pool[src] if src < 4 else entropy[src], h) * 0x4973F715)
-                    pool[dst] = mixed ^ mixed >> 16
-        h = [0x8B51F9DD, 0x58F38DED]
-        state = np.array([hashmix(pool[j % 4], h) for j in range(8)], dtype=np.uint64)
-        out[pick] = (state[0::2] | state[1::2] << 32).T
-    return out
+    if np.any(rows >> 32):
+        raise ValueError("row indices must lie in [0, 2**32)")
+    entropy = np.array(np.broadcast_arrays(*words(int(seed) & (2**64 - 1)), rows,
+                                           *words(int(stream))), dtype=np.uint32)
+    h = [0x43B0D7E5, 0x931E8875]
+    pool = [hashmix(w, h) for w in [*entropy, 0 * entropy[0]][:4]]  # 3+ words, 0-padded
+    for src in range(max(4, len(entropy))):  # the pool, then entropy beyond it
+        for dst in range(4):
+            if dst != src:
+                mixed = (pool[dst] * 0xCA01F9DD
+                         - hashmix(pool[src] if src < 4 else entropy[src], h) * 0x4973F715)
+                pool[dst] = mixed ^ mixed >> 16
+    h = [0x8B51F9DD, 0x58F38DED]
+    state = np.array([hashmix(pool[j % 4], h) for j in range(8)], dtype=np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
 
 
 class _Words(ISeedSequence):

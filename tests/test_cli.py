@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import smoothcert
-from smoothcert import cli, memory
+from smoothcert import classifiers, cli, memory
 from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
@@ -41,6 +41,19 @@ def certify_args(data, clf, out, extra=()):
             "--n0", "100", "--n-cert", "2000", "--alpha-fail", "0.001",
             "--dataset", str(data), "--classifier", str(clf),
             "--out", str(out), *extra]
+
+
+REGION = json.dumps({"center": [0.0, 0.0], "radius": 0.1, "prediction": 1,
+                     "sigma": 0.25, "norm": "l2"}) + "\n"
+
+
+def snapshot(tmp):
+    """Every entry of a directory, with the bytes of each file."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in tmp.iterdir()}
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work ran")
 
 
 class TestCertify:
@@ -220,33 +233,70 @@ class TestCertify:
                 "finite and radius >= 0") in run.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra,first,second,clash", [
-        (["--memory-out", "r.csv"], "--out", "--memory-out", "r.csv"),
-        (["--metrics-out", "r.csv"], "--out", "--metrics-out", "r.csv"),
+    @pytest.mark.parametrize("extra,first,second", [
+        (["--memory-out", "r.csv"], "--out", "--memory-out"),
+        (["--metrics-out", "r.csv"], "--out", "--metrics-out"),
         (["--metrics-out", "m.json", "--memory-out", "m.json"], "--metrics-out",
-         "--memory-out", "m.json"),
-        (["--memory-out", "r.csv.metrics.json"], "--metrics-out", "--memory-out",
-         "r.csv.metrics.json"),
-        (["--memory-out", "link.jsonl"], "--out", "--memory-out", "r.csv"),
+         "--memory-out"),
+        (["--memory-out", "r.csv.metrics.json"], "--metrics-out", "--memory-out"),
+        (["--memory-out", "link.jsonl"], "--out", "--memory-out"),
+        (["--out", "d.csv"], "--dataset", "--out"),
+        (["--metrics-out", "c.json"], "--classifier", "--metrics-out"),
+        (["--memory-out", "d.csv"], "--dataset", "--memory-out"),
+        (["--out", "m.jsonl"], "--memory-in", "--out"),
+        (["--metrics-out", "m.jsonl"], "--memory-in", "--metrics-out"),
+        (["--out", "link.csv"], "--dataset", "--out"),
     ], ids=["out_memory", "out_metrics", "metrics_memory", "default_metrics_memory",
-            "symlink"])
+            "symlink", "out_dataset", "metrics_classifier", "memory_dataset",
+            "out_memory_in", "metrics_memory_in", "symlink_dataset"])
     def test_outputs_naming_one_file_fail_before_any_work(self, workspace, monkeypatch,
-                                                          capsys, extra, first, second,
-                                                          clash):
+                                                          capsys, extra, first, second):
         tmp, data, clf = workspace
+        (tmp / "m.jsonl").write_text(REGION)
         (tmp / "link.jsonl").symlink_to(tmp / "r.csv")
-
-        def no_campaign(*args, **kwargs):
-            raise AssertionError("the campaign ran")
-
-        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        (tmp / "link.csv").symlink_to(data)
+        before = snapshot(tmp)
+        monkeypatch.setattr(classifiers, "load_classifier", no_work)
         args = certify_args(data, clf, tmp / "r.csv",
-                            [str(tmp / v) if v.endswith(("csv", "json", "jsonl")) else v
-                             for v in extra])
+                            ["--memory-in", str(tmp / "m.jsonl")]
+                            + [str(tmp / v) if v.endswith(("csv", "json", "jsonl")) else v
+                               for v in extra])
         assert cli_main(args) == 1
-        err = capsys.readouterr().err
-        assert f"{first} and {second} name the same file" in err
-        assert not (tmp / clash).exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{first} and {second} name the same file" in captured.err
+        assert snapshot(tmp) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--metrics-out", "--memory-out"])
+    def test_output_in_a_missing_directory_fails_before_any_work(self, workspace,
+                                                                 monkeypatch, capsys, flag):
+        tmp, data, clf = workspace
+        mem = tmp / "m.jsonl"
+        mem.write_text(REGION)
+        before = snapshot(tmp)
+        monkeypatch.setattr(classifiers, "load_classifier", no_work)
+        args = certify_args(data, clf, tmp / "r.csv",
+                            ["--memory-in", str(mem), "--memory-out", str(mem)])
+        args += [flag, str(tmp / "missing" / "x")]
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: the directory of {tmp / 'missing' / 'x'} does not exist" in captured.err
+        assert snapshot(tmp) == before
+
+    def test_failed_results_write_leaves_memory_in_untouched(self, workspace, capsys):
+        tmp, data, clf = workspace
+        mem = tmp / "m.jsonl"
+        assert cli_main(certify_args(data, clf, tmp / "a.csv",
+                                     ["--memory-out", str(mem)])) == 0
+        (tmp / "outdir").mkdir()
+        before = snapshot(tmp)
+        capsys.readouterr()
+        assert cli_main(certify_args(data, clf, tmp / "outdir",
+                                     ["--memory-in", str(mem),
+                                      "--memory-out", str(mem)])) == 1
+        assert capsys.readouterr().out == ""
+        assert snapshot(tmp) == before
 
     @pytest.mark.parametrize("flags", [("--memory-in",), ("--memory-out",),
                                        ("--memory-in", "--memory-out")])
@@ -258,10 +308,6 @@ class TestCertify:
                                      ["--memory-out", str(mem)])) == 0
         before = mem.read_bytes()
         capsys.readouterr()
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work ran")
-
         monkeypatch.setattr(cli, "run_campaign", no_work)
         monkeypatch.setattr(memory, "load_memory", no_work)
         paths = {"--memory-in": mem, "--memory-out": tmp / "m2.jsonl"}
@@ -389,6 +435,27 @@ class TestReport:
         assert cli_main(["report", "--in", str(out), "--radii", "0.5,nan,0.1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "radii grid" in captured.err
+
+
+@pytest.mark.parametrize("command,flag,bad", [
+    ("certify", "--radii", "0,abc"), ("report", "--radii", "0,x"),
+    ("optimize-sigma", "--point", "1.0,x")])
+def test_list_that_does_not_parse_names_its_flag(workspace, monkeypatch, capsys,
+                                                 command, flag, bad):
+    tmp, data, clf = workspace
+    (tmp / "r.csv").write_text(REPORT_HEADER + "0,1,1,1,0.5,0.25,0.99,0\n")
+    before = snapshot(tmp)
+    monkeypatch.setattr(classifiers, "load_classifier", no_work)
+    args = {"certify": certify_args(data, clf, tmp / "out.csv"),
+            "report": ["report", "--in", str(tmp / "r.csv")],
+            "optimize-sigma": ["optimize-sigma", "--classifier", str(clf),
+                               "--sigma0", "0.25"]}[command]
+    assert cli_main(args + [flag, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{flag}: could not convert string to float: '{bad.split(',')[1]}'"
+            in captured.err)
+    assert snapshot(tmp) == before
 
 
 class TestOptimizeSigma:

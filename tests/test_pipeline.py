@@ -5,6 +5,7 @@ import json
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from smoothcert.memory import CertifiedRegion, MemoryStore, audit, memory_insert
 from smoothcert.pipeline import (MODE_DS, MODE_DS_L1, MODE_FIXED,
                                  CampaignConfig, CertRecord,
                                  GaussianAugmentationTrainer, LabeledDataset,
-                                 average_certified_radius,
-                                 certified_accuracy_curve, emit_report,
+                                 emit_report,
                                  load_dataset, metrics_from_records,
                                  read_report_csv, run_campaign, train_batch)
 from smoothcert.sigma_opt import SigmaOptConfig, optimize_sigma
@@ -125,44 +125,53 @@ class TestLoadDataset:
         assert not p.exists()
 
 
+def curve(records, radii):
+    return metrics_from_records(records, radii).certified_accuracy
+
+
+def acr(records):
+    return metrics_from_records(records, (0.0,)).acr
+
+
 class TestMetrics:
     def test_curve_reference_point(self):
         records = [rec(0, 1, 1, 0.3), rec(1, 0, 0, 0.6), rec(2, 1, 0, 0.9)]
-        curve = certified_accuracy_curve(records, (0.0, 0.5))
-        assert curve[1] == pytest.approx(1.0 / 3.0)
+        assert curve(records, (0.0, 0.5))[1] == pytest.approx(1.0 / 3.0)
 
     def test_curve_at_zero_is_smoothed_accuracy(self):
         records = [rec(0, 1, 1, 0.0), rec(1, 0, 1, 0.4),
                    rec(2, 0, ABSTAIN, 0.0)]
-        curve = certified_accuracy_curve(records, (0.0,))
-        assert curve[0] == pytest.approx(1.0 / 3.0)
+        assert curve(records, (0.0,))[0] == pytest.approx(1.0 / 3.0)
 
     def test_all_abstain_zero_everywhere(self):
         records = [rec(i, 0, ABSTAIN, 0.0) for i in range(4)]
-        curve = certified_accuracy_curve(records, (0.0, 0.5, 1.0))
-        assert curve == (0.0, 0.0, 0.0)
+        assert curve(records, (0.0, 0.5, 1.0)) == (0.0, 0.0, 0.0)
 
     def test_curve_non_increasing(self):
         rng = np.random.default_rng(5)
         records = [rec(i, int(rng.integers(0, 2)), int(rng.integers(-1, 2)),
                        float(rng.uniform(0, 2))) for i in range(50)]
-        curve = certified_accuracy_curve(records, tuple(np.linspace(0, 2, 9)))
-        assert all(b <= a for a, b in zip(curve, curve[1:]))
+        values = curve(records, tuple(np.linspace(0, 2, 9)))
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_acr_reference(self):
         records = [rec(0, 1, 1, 1.0), rec(1, 0, 1, 0.5), rec(2, 1, 1, 0.0)]
-        assert average_certified_radius(records) == pytest.approx(1.0 / 3.0)
+        assert acr(records) == pytest.approx(1.0 / 3.0)
 
     def test_acr_all_incorrect(self):
         records = [rec(0, 1, 0, 1.0), rec(1, 0, 1, 0.5)]
-        assert average_certified_radius(records) == 0.0
+        assert acr(records) == 0.0
 
     def test_acr_single_correct(self):
-        assert average_certified_radius([rec(0, 1, 1, 0.7)]) == 0.7
+        assert acr([rec(0, 1, 1, 0.7)]) == 0.7
 
-    def test_acr_empty_warns(self):
-        with pytest.warns(UserWarning):
-            assert average_certified_radius([]) == 0.0
+    def test_empty_result_set_scores_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = metrics_from_records([], (0.0, 0.5))
+        assert metrics.certified_accuracy == (0.0, 0.0)
+        assert metrics.acr == 0.0 and metrics.abstain_rate == 0.0
+        assert metrics.n_inputs == 0
 
 
 class TestRunCampaign:

@@ -106,8 +106,7 @@ class TestSeeding:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -12345])
     @pytest.mark.parametrize("stream", [0, 1, 7])
     def test_seed_words_equal_numpy_seed_sequence(self, seed, stream):
-        # one call mixes row indices of one 32-bit word and of two
-        rows = [0, 1, 2**32 - 1, 2**32, 2**40, 3]
+        rows = [0, 1, 2**31, 2**32 - 1, 3]
         words = smoothing._seed_words(seed, rows, stream)
         assert words.shape == (len(rows), 4) and words.dtype == np.uint64
         for i, w in zip(rows, words):
@@ -123,6 +122,18 @@ class TestSeeding:
     def test_seed_words_of_no_rows(self):
         assert smoothing._seed_words(3, [], 0).shape == (0, 4)
         assert smoothing._seed_words(3, np.arange(0), 1).shape == (0, 4)
+
+    @pytest.mark.parametrize("rows", [[2**32], [0, 2**40], np.arange(2**32 - 1, 2**32 + 1)])
+    def test_seed_words_reject_rows_of_two_words(self, rows):
+        with pytest.raises(ValueError, match=r"row indices must lie in \[0, 2\*\*32\)"):
+            smoothing._seed_words(3, rows, 0)
+
+    def test_seed_words_are_c_contiguous(self):
+        # PCG64 reads a row's raw buffer, so a strided row would seed another generator
+        words = smoothing._seed_words(5, np.arange(6), 1)
+        assert words.flags.c_contiguous
+        got = np.random.Generator(np.random.PCG64(smoothing._Words(words[4])))
+        assert got.bit_generator.state == rng_for_input(5, 4, 1).bit_generator.state
 
     def test_streams_differ_across_inputs_and_channels(self):
         a = rng_for_input(7, 3).standard_normal(5)
