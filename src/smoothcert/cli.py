@@ -164,8 +164,9 @@ def _cmd_certify(args) -> int:
         if path and flag.endswith("out"):  # an output; only --memory-out may name --memory-in
             if first != flag and (first, flag) != ("--memory-in", "--memory-out"):
                 raise ValueError(f"{first} and {flag} name the same file: {path}")
-            if not os.path.isdir(os.path.dirname(real)):
-                raise ValueError(f"{flag}: the directory of {path} does not exist")
+            if (is_dir := os.path.isdir(real)) or not os.path.isdir(os.path.dirname(real)):
+                raise ValueError(f"{flag}: {path} is a directory" if is_dir
+                                 else f"{flag}: the directory of {path} does not exist")
     if args.mode == "fixed" and (args.memory_in or args.memory_out):
         raise ValueError("--memory-in and --memory-out need --mode ds or ds_l1")
     cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,

@@ -9,7 +9,8 @@ contact are left untouched, which keeps the shrink formulas exact; ``_shrink``
 is the one place this rule is written. The formulas hold for L2 and L1 balls
 in any dimension: by the triangle inequality a ball of radius R - ||c - c'||
 at c' lies inside the ball of radius R at c, and balls with
-||c - c'|| >= r + r' share no interior point.
+||c - c'|| >= r + r' share no interior point. Stored balls overlap when r + r'
+exceeds ||c - c'|| by more than a few ulps of the largest magnitude (``_overlaps``).
 
 The store keeps its regions only as numpy arrays. A memory file is parsed
 and checked line by line, and written one formatted line per region. Every
@@ -34,10 +35,6 @@ __all__ = ["CertifiedRegion", "MemoryStore", "MemoryInvariantError", "largest_in
            "largest_out_subset", "memory_insert", "save_memory", "load_memory", "audit"]
 
 NORM_L2, NORM_L1 = "l2", "l1"
-
-# Slack used when validating the no-overlap invariant; shrunken radii are
-# exact min() formulas, so violations beyond a few ulps indicate real bugs.
-_INVARIANT_TOL = 1e-9
 
 # Screen margin: numpy's distances differ from math.dist and the scalar L1
 # sum by a few ulps per coordinate, far below this for d < 10^6. The insert
@@ -126,6 +123,11 @@ def _shrink(d: float, r_entry: float, radius: float) -> tuple[float, bool] | Non
     return None
 
 
+def _overlaps(d: float, r_a: float, r_b: float, scale: float = 0.0) -> bool:
+    """Balls r_a, r_b at distance d overlap by over 4 ulps of max(d, r_a, r_b, scale)."""
+    return d < r_a + r_b - 2.0**-50 * max(d, r_a, r_b, scale)
+
+
 def largest_in_subset(outer: CertifiedRegion, cand: CertifiedRegion) -> float:
     """Radius of the largest ball at cand.center inside both outer and cand:
     min(cand.radius, outer.radius - distance), for cand.center in outer."""
@@ -166,7 +168,7 @@ class MemoryStore:
         self._size = 0
         self._use(np.empty((0, 1)), (), (), (), 0)
         self.insertions = self.comparisons = 0
-        self.overlap_events = self.adjusted_insertions = 0
+        self.overlap_events = 0
 
     def __len__(self) -> int:
         return self._size
@@ -226,42 +228,44 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
     ``_screen @ v`` keeps those, whatever their prediction, since an override
     changes it mid-scan. The scan then skips a kept entry of the current
     prediction or whose numpy distance clears the current radius, and runs
-    ``_shrink`` on the rest. ``comparisons`` adds N as a full scan does, not the checks run.
+    ``_shrink`` on the rest. The first override rescans the passed hits of the old
+    prediction; a further overlap at the overriding entry's scale means the store
+    already had one. ``comparisons`` adds N as a full scan does, not the checks run.
     """
     n, norm = len(store), region.norm
     radius, prediction = region.radius, region.prediction
-    adjusted = overridden = False
+    adjusted, r_over = False, None  # r_over: radius of the entry that overrode
     if n:
         _check_compatible((store.norm, store.dim), (norm, region.dim))
         v = np.array([*(-2.0 * x for x in region.center), -2.0 * radius, 1.0])
         bound = _SCREEN_TINY - _screen_term(region.center, radius)
         hits = np.flatnonzero(~(store._screen[:n] @ v > bound))  # NaN is a hit
         dist = _row_distances(store._centers[hits] - region.center, norm)
-        for i, d, r_entry, p_entry in zip(hits.tolist(), dist.tolist(),
-                                          store._radii[hits].tolist(),
-                                          store._preds[hits].tolist()):
+        scan = list(zip(hits.tolist(), dist.tolist(), store._radii[hits].tolist(),
+                        store._preds[hits].tolist()))
+        for seen, (i, d, r_entry, p_entry) in enumerate(scan, start=1):  # scan may grow
             if p_entry == prediction or math.inf > d > (
                     r_entry + radius) * (1.0 + _SCREEN_EPS) + _SCREEN_EPS:
                 continue  # an infinite numpy distance may be finite: tested
-            shrunk = _shrink(_distance(store._centers[i].tolist(), region.center, norm),
-                             r_entry, radius)
+            d = _distance(store._centers[i].tolist(), region.center, norm)
+            shrunk = _shrink(d, r_entry, radius)
             if shrunk is None:
                 continue
-            new_r, inside = shrunk
-            if overridden and new_r < radius - _INVARIANT_TOL:
+            if r_over is not None and _overlaps(d, r_entry, radius, r_over):
                 raise MemoryInvariantError("a second differently-predicted entry forced "
                                            "shrinking after a prediction override; the "
                                            "store invariant is broken")
-            radius = new_r
+            radius, inside = shrunk
             if inside:  # center inside: take the entry's prediction
-                prediction, overridden = p_entry, True
+                if r_over is None:
+                    scan += [h for h in scan[:seen] if h[3] == prediction]
+                prediction, r_over = p_entry, r_entry
             adjusted = True
             store.overlap_events += 1
     store.comparisons += n
     cand = replace(region, radius=radius, prediction=prediction) if adjusted else region
     store._append(cand)
     store.insertions += 1
-    store.adjusted_insertions += adjusted
     return cand.prediction, cand, adjusted
 
 
@@ -290,15 +294,15 @@ def _validate_invariant(store: MemoryStore) -> None:
     while a.size:  # sorted positions a and a + k
         s = a[preds[a] != preds[a + k]]
         dist = _row_distances(centers[s] - centers[s + k], norm)  # inf may be finite
-        s = s[(dist <= (radii[s] + radii[s + k] - _INVARIANT_TOL) * (1.0 + _SCREEN_EPS)
-               + _SCREEN_EPS) | np.isinf(dist)]
+        s = s[(dist <= (radii[s] + radii[s + k]) * (1.0 + _SCREEN_EPS) + _SCREEN_EPS)
+              | np.isinf(dist)]
         i, j = np.minimum(order[s], order[s + k]), np.maximum(order[s], order[s + k])
         if first is not None:
             ahead = (i < first[0]) | ((i == first[0]) & (j < first[1]))
             s, i, j = s[ahead], i[ahead], j[ahead]
         for pair, p in sorted(zip(zip(i.tolist(), j.tolist()), s.tolist())):
-            if (_distance(centers[p].tolist(), centers[p + k].tolist(), norm)
-                    < radii[p] + radii[p + k] - _INVARIANT_TOL):
+            if _overlaps(_distance(centers[p].tolist(), centers[p + k].tolist(), norm),
+                         radii[p], radii[p + k]):
                 first = pair
                 break
         k += 1

@@ -284,6 +284,24 @@ class TestCertify:
         assert f"{flag}: the directory of {tmp / 'missing' / 'x'} does not exist" in captured.err
         assert snapshot(tmp) == before
 
+    @pytest.mark.parametrize("flag", ["--out", "--metrics-out", "--memory-out"])
+    def test_output_naming_a_directory_fails_before_any_work(self, workspace, monkeypatch,
+                                                             capsys, flag):
+        tmp, data, clf = workspace
+        mem = tmp / "m.jsonl"
+        mem.write_text(REGION)
+        (tmp / "outdir").mkdir()
+        before = snapshot(tmp)
+        monkeypatch.setattr(classifiers, "load_classifier", no_work)
+        args = certify_args(data, clf, tmp / "r.csv",
+                            ["--memory-in", str(mem), "--memory-out", str(mem)])
+        args += [flag, str(tmp / "outdir")]
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: {tmp / 'outdir'} is a directory" in captured.err
+        assert snapshot(tmp) == before  # --memory-in included, byte for byte
+
     def test_failed_results_write_leaves_memory_in_untouched(self, workspace, capsys):
         tmp, data, clf = workspace
         mem = tmp / "m.jsonl"

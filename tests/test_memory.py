@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothcert.memory import (CertifiedRegion, MemoryInvariantError,
                                MemoryStore, _checked_row, audit,
@@ -57,7 +57,9 @@ def cross_pred_invariant_holds(store, tol=1e-9):
 # Reference: the pure-Python full scan and pair loop the numpy screen replaced
 # ---------------------------------------------------------------------------
 
-_REF_TOL = 1e-9
+def ref_overlaps(d, r_a, r_b, scale=0.0):
+    """Overlap by more than 4 ulps of the largest of d, the radii and scale."""
+    return d < r_a + r_b - 4.0 * 2.0**-52 * max(d, r_a, r_b, scale)
 
 
 class RefStore:
@@ -66,7 +68,6 @@ class RefStore:
         self.insertions = 0
         self.comparisons = 0
         self.overlap_events = 0
-        self.adjusted_insertions = 0
 
 
 def ref_distance(a, b):
@@ -78,31 +79,30 @@ def ref_distance(a, b):
 def ref_insert(store, region):
     cand = region
     adjusted = False
-    overridden = False
-    for entry in store.regions:
-        store.comparisons += 1
+    r_over = None  # radius of the entry that overrode the prediction
+    scan = list(store.regions)
+    store.comparisons += len(scan)
+    for seen, entry in enumerate(scan, start=1):
         if entry.prediction == cand.prediction:
             continue
         d = ref_distance(entry, cand)
         if d <= entry.radius:
             new_r = max(0.0, min(cand.radius, entry.radius - d))
-            if overridden and new_r < cand.radius - _REF_TOL:
-                raise MemoryInvariantError("shrink after override")
-            cand = replace(cand, radius=new_r, prediction=entry.prediction)
-            adjusted = True
-            overridden = True
-            store.overlap_events += 1
         elif d < entry.radius + cand.radius:
             new_r = max(0.0, min(cand.radius, d - entry.radius))
-            if overridden and new_r < cand.radius - _REF_TOL:
-                raise MemoryInvariantError("shrink after override")
-            cand = replace(cand, radius=new_r)
-            adjusted = True
-            store.overlap_events += 1
+        else:
+            continue
+        if r_over is not None and ref_overlaps(d, entry.radius, cand.radius, r_over):
+            raise MemoryInvariantError("shrink after override")
+        if d <= entry.radius:
+            if r_over is None:  # the skipped entries of the first prediction now differ
+                scan.extend(e for e in scan[:seen] if e.prediction == cand.prediction)
+            cand, r_over = replace(cand, prediction=entry.prediction), entry.radius
+        cand = replace(cand, radius=new_r)
+        adjusted = True
+        store.overlap_events += 1
     store.regions.append(cand)
     store.insertions += 1
-    if adjusted:
-        store.adjusted_insertions += 1
     return cand.prediction, cand, adjusted
 
 
@@ -112,14 +112,13 @@ def ref_first_overlap(regions):
             a, b = regions[i], regions[j]
             if a.prediction == b.prediction:
                 continue
-            if ref_distance(a, b) < a.radius + b.radius - _REF_TOL:
+            if ref_overlaps(ref_distance(a, b), a.radius, b.radius):
                 return f"regions {i} and {j} predict differently but overlap"
     return None
 
 
 def counters(store):
-    return (store.insertions, store.comparisons, store.overlap_events,
-            store.adjusted_insertions)
+    return store.insertions, store.comparisons, store.overlap_events
 
 
 def insert_both(store, ref, r):
@@ -131,8 +130,7 @@ def insert_both(store, ref, r):
 
 
 def insert_both_or_raise(store, ref, r):
-    """``insert_both``, or None when both copies find the store invariant broken
-    (rounding far from the origin can leave an overlap above the tolerance)."""
+    """``insert_both``, or None when both copies find the store invariant broken."""
     try:
         got = memory_insert(store, r)
     except MemoryInvariantError:
@@ -276,7 +274,7 @@ class TestIntersect:
         memory_insert(store, region((0.0,), 1.0, 0))
         with pytest.raises(ValueError, match="dimension mismatch"):
             memory_insert(store, region((5.0, 0.0), 1.0, 1))
-        assert len(store) == 1 and counters(store) == (1, 0, 0, 0)
+        assert len(store) == 1 and counters(store) == (1, 0, 0)
 
 
 def one_entry_cases(rng, norm):
@@ -620,6 +618,9 @@ class TestAgainstReferenceScan:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([0, 3, 8, 150, 160]), st.sampled_from([1, 2, 16]),
            st.sampled_from(["l2", "l1"]))
+    @example(294, 160, 1, "l1")  # an absolute 1e-9 slack raised on row 24
+    @example(1, 160, 1, "l2")  # ... on row 36
+    @example(110, 150, 2, "l2")  # ... on row 49
     def test_translated_stores_match(self, seed, k, d, norm):
         # far from the origin |c_i|^2 + |c|^2 - 2 c_i.c cancels (10**8) or its
         # terms pass 1e300 and overflow (10**150, 10**160), and each probe
@@ -645,11 +646,11 @@ class TestAgainstReferenceScan:
     def test_shrink_after_override_by_an_entry_of_the_original_prediction(
             self, tmp_path):
         # entry 1 predicts what the candidate first predicts and overlaps
-        # entry 0 by less than the load tolerance; after entry 0 overrides the
-        # candidate, entry 1 disagrees with it and shrinks it by 1e-12
+        # entry 0 by one ulp of 2.0, below the load test's slack; after entry 0
+        # overrides the candidate, entry 1 disagrees with it and shrinks it by that ulp
         path = tmp_path / "memory.jsonl"
         write_regions(path, [region((0.0, 0.0), 1.0, 0),
-                             region((2.0 - 1e-12, 0.0), 1.0, 1)])
+                             region((2.0 - math.ulp(2.0), 0.0), 1.0, 1)])
         store = load_memory(path)
         ref = RefStore(store.regions)
         pred, final, adjusted = insert_both(store, ref, region((0.5, 0.0), 1.0, 1))
@@ -659,9 +660,9 @@ class TestAgainstReferenceScan:
 
     def test_touch_after_override_keeps_the_invariant_check(self):
         # a broken store (entry 2 overlaps entry 0): entry 0 overrides the
-        # candidate, entry 1 shrinks it by less than the tolerance, and
+        # candidate, entry 1 shrinks it by less than the slack, and
         # entry 2 must still trip the check, as in the reference scan
-        regions = [region((0.0, 0.0), 1.0, 0), region((2.0 - 1e-12, 0.0), 1.0, 1),
+        regions = [region((0.0, 0.0), 1.0, 0), region((2.0 - math.ulp(2.0), 0.0), 1.0, 1),
                    region((0.5, 0.3), 0.2, 1)]
         store = MemoryStore()
         for r in regions:
@@ -760,6 +761,56 @@ class TestAgainstReferenceScan:
                              region((-big, -big), 2.0, 1, norm=norm),
                              region((-big, big), 0.5, 0, norm=norm)]:
             insert_both(store, ref, r)
+
+
+def scaled(regions, factor):
+    return [replace(r, center=tuple(factor * np.asarray(r.center)), radius=factor * r.radius)
+            for r in regions]
+
+
+def insert_all(regions):
+    """The store after inserting ``regions`` in order, (prediction, radius,
+    adjusted, overlap events) after each insert, and whether an insert raised."""
+    store, steps = MemoryStore(), []
+    try:
+        for r in regions:
+            pred, final, adjusted = memory_insert(store, r)
+            steps.append((pred, final.radius, adjusted, store.overlap_events))
+    except MemoryInvariantError:
+        return store, steps, True
+    return store, steps, False
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_power_of_two_scaling_changes_no_decision(self, d, norm):
+        # scaling by 2**k is exact, so every overlap decision, and any raise,
+        # must be the same at each scale, with radii scaled exactly
+        for seed in range(20):
+            base = crowded_regions(np.random.default_rng(seed), d, norm, 80)
+            outcomes = []
+            for k in (-200, -40, 23, 60, 200):
+                _, steps, raised = insert_all(scaled(base, 2.0**k))
+                outcomes.append(([(p, r * 2.0**-k, a, e) for p, r, a, e in steps], raised))
+            assert all(o == outcomes[0] for o in outcomes), seed
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("kind,k", [("crowded", 4), ("crowded", 7), ("crowded", 8),
+                                        ("crowded", 10), ("translated", 150),
+                                        ("translated", 160)])
+    def test_stores_far_from_unit_scale_insert_and_reload(self, tmp_path, kind, k, d, norm):
+        # crowded regions scaled by 10**k, or small ones moved by 10**k
+        path = tmp_path / "memory.jsonl"
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            regions = (scaled(crowded_regions(rng, d, norm, 60), 10.0**k) if kind == "crowded"
+                       else translated_regions(rng, k, d, norm, 40))
+            store, _, raised = insert_all(regions)
+            assert not raised, seed
+            save_memory(store, path)
+            assert load_memory(path) == store, seed
 
 
 class TestPersistence:
