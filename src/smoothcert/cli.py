@@ -16,14 +16,15 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .pipeline import (DEFAULT_RADII, CampaignConfig, checked_radii_grid,
-                       metrics_from_records, read_report_csv, run_campaign,
-                       run_training_demo)
-from .sigma_opt import SigmaOptConfig, optimize_sigma
+from .pipeline import (DEFAULT_RADII, MODE_DS, MODE_DS_L1, MODE_FIXED,
+                       CampaignConfig, checked_radii_grid, metrics_from_records,
+                       read_report_csv, run_campaign, run_training_demo)
+from .sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD, RETURN_BEST_ITERATE,
+                        RETURN_FAITHFUL, SigmaOptConfig, optimize_sigma)
 from .smoothing import GaussianCertConfig, draw_noise
 
 __all__ = ["build_parser", "cli_main", "main"]
@@ -46,24 +47,24 @@ def _seed(args, count: int = 1) -> int:
 def _add_cert_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma0", type=float, required=True,
                    help="fixed noise scale, or the starting scale in ds modes")
-    p.add_argument("--n0", type=int, default=100, help="selection samples")
-    p.add_argument("--n-cert", type=int, default=100_000, help="estimation samples")
-    p.add_argument("--alpha-fail", type=float, default=0.001,
-                   help="certification failure probability")
+    p.add_argument("--n0", type=int, help="selection samples")
+    p.add_argument("--n-cert", type=int, help="estimation samples")
+    p.add_argument("--alpha-fail", type=float, help="certification failure probability")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (default: CERTSMOOTH_SEED or 0)")
 
 
 def _add_opt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha-step", type=float, default=1e-4, help="ascent step size")
-    p.add_argument("--iters", type=int, default=100, help="ascent iterations")
-    p.add_argument("--n", type=int, default=1, help="noise samples per objective value")
-    p.add_argument("--sigma-min", type=float, default=1e-3)
-    p.add_argument("--sigma-max", type=float, default=2.0)
-    p.add_argument("--grad-mode", choices=["analytic", "scalar_fd"],
-                   default="scalar_fd")
-    p.add_argument("--return-mode", choices=["faithful", "best_iterate"],
-                   default="faithful")
+    p.add_argument("--alpha-step", dest="step_alpha", metavar="ALPHA_STEP", type=float,
+                   help="ascent step size")
+    p.add_argument("--iters", dest="iters_k", metavar="ITERS", type=int,
+                   help="ascent iterations")
+    p.add_argument("--n", dest="n_samples", metavar="N", type=int,
+                   help="noise samples per objective value")
+    p.add_argument("--sigma-min", type=float)
+    p.add_argument("--sigma-max", type=float)
+    p.add_argument("--grad-mode", choices=[GRAD_ANALYTIC, GRAD_SCALAR_FD])
+    p.add_argument("--return-mode", choices=[RETURN_FAITHFUL, RETURN_BEST_ITERATE])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cert = sub.add_parser("certify", help="run a certification campaign")
-    p_cert.add_argument("--mode", choices=["fixed", "ds", "ds_l1"], required=True)
+    p_cert.add_argument("--mode", choices=[MODE_FIXED, MODE_DS, MODE_DS_L1], required=True)
     p_cert.add_argument("--dataset", required=True, help="dataset CSV path")
     p_cert.add_argument("--classifier", required=True, help="classifier JSON path")
     p_cert.add_argument("--out", required=True, help="results CSV path")
@@ -126,27 +127,11 @@ def _parse_radii(text: str | None) -> tuple[float, ...]:
     return DEFAULT_RADII if text is None else _floats(text, "--radii")
 
 
-def _opt_config(args) -> SigmaOptConfig:
-    """Ascent config from the shared ascent flags."""
-    return SigmaOptConfig(step_alpha=args.alpha_step, iters_k=args.iters,
-                          n_samples=args.n, sigma_min=args.sigma_min,
-                          sigma_max=args.sigma_max, grad_mode=args.grad_mode,
-                          return_mode=args.return_mode)
-
-
-def _config_echo(cfg: CampaignConfig, args) -> dict:
-    """The campaign's settings and input paths, for the metrics JSON."""
-    return {
-        "mode": cfg.mode,
-        "cert": {**asdict(cfg.cert), "sigma": cfg.sigma0},
-        "opt": {"sigma0": cfg.sigma0, "step_alpha": cfg.opt.step_alpha,
-                "iters_k": cfg.opt.iters_k, "n_samples": cfg.opt.n_samples,
-                "sigma_min": cfg.opt.sigma_min, "sigma_max": cfg.opt.sigma_max,
-                "grad_mode": cfg.opt.grad_mode, "return_mode": cfg.opt.return_mode},
-        "radii_grid": list(cfg.radii_grid),
-        "dataset": args.dataset,
-        "classifier": args.classifier,
-    }
+def _given(cls, args, **values):
+    """``cls`` from ``values`` and the flags whose dest names one of its fields; a
+    flag left out (None) takes the field's default, so no flag restates one."""
+    given = {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
+    return cls(**given | values)
 
 
 def _cmd_certify(args) -> int:
@@ -167,17 +152,16 @@ def _cmd_certify(args) -> int:
             if (is_dir := os.path.isdir(real)) or not os.path.isdir(os.path.dirname(real)):
                 raise ValueError(f"{flag}: {path} is a directory" if is_dir
                                  else f"{flag}: the directory of {path} does not exist")
-    if args.mode == "fixed" and (args.memory_in or args.memory_out):
+    if args.mode == MODE_FIXED and (args.memory_in or args.memory_out):
         raise ValueError("--memory-in and --memory-out need --mode ds or ds_l1")
-    cert = GaussianCertConfig(n0=args.n0, n_cert=args.n_cert,
-                              alpha_fail=args.alpha_fail, seed=_seed(args))
-    cfg = CampaignConfig(mode=args.mode, sigma0=args.sigma0, cert=cert,
-                         opt=_opt_config(args), radii_grid=_parse_radii(args.radii))
+    cfg = _given(CampaignConfig, args, cert=_given(GaussianCertConfig, args, seed=_seed(args)),
+                 opt=_given(SigmaOptConfig, args), radii_grid=_parse_radii(args.radii))
     dataset = load_dataset(args.dataset)
     classifier = load_classifier(args.classifier)
     memory = load_memory(args.memory_in) if args.memory_in else None
     records, memory, metrics = run_campaign(cfg, dataset, classifier, memory)
-    emit_report(records, metrics, args.out, metrics_out, config_echo=_config_echo(cfg, args),
+    config = asdict(cfg) | {"dataset": args.dataset, "classifier": args.classifier}
+    emit_report(records, metrics, args.out, metrics_out, config_echo=config,
                 memory=memory, memory_path=args.memory_out)
     print(f"certified {metrics.n_inputs} inputs: ACR={metrics.acr:.6f} "
           f"abstain_rate={metrics.abstain_rate:.4f} "
@@ -191,9 +175,12 @@ def _cmd_optimize_sigma(args) -> int:
     seed = _seed(args)
     x = np.array(_floats(args.point, "--point"))
     c = load_classifier(args.classifier)
+    if x.size != c.dim:
+        raise ValueError(f"--point has {x.size} coordinates, the classifier takes {c.dim}")
+    cfg = _given(SigmaOptConfig, args)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    sigma_star, trace = optimize_sigma(c, x, _opt_config(args),
-                                       draw_noise(rng, args.n, c.dim), args.sigma0)
+    sigma_star, trace = optimize_sigma(c, x, cfg, draw_noise(rng, cfg.n_samples, c.dim),
+                                       args.sigma0)
     print("iter,sigma,proxy_radius,top_class")
     for e in trace:
         print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")

@@ -3,12 +3,13 @@
 A campaign certifies every dataset row either at one fixed scale or with the
 per-input optimized scale ("ds" modes), feeding the resulting regions through
 the memory so differently-predicted certificates can never overlap. The scale
-ascent runs in one batched call per block of rows. Rows are certified on up
-to one thread per CPU, then inserted into the memory in dataset order; per-row
-seeds make the results independent of the blocks and the threads.
-``run_campaign`` reads and writes no files: it takes the dataset, classifier
-and memory as objects and returns the records, memory and metrics, which
-``emit_report`` writes.
+ascent runs in one batched call per block of rows, and ``_ASCENT_POINTS`` fixes
+the blocks: a row's sigma* can move by an ulp with the rows that share its
+classifier call. Rows are certified on up to one thread per CPU, then inserted
+into the memory in dataset order; per-row seeds make the results independent of
+the threads and the CPU count. ``run_campaign`` reads and writes no files: it
+takes the dataset, classifier and memory as objects and returns the records,
+memory and metrics, which ``emit_report`` writes.
 """
 
 from __future__ import annotations

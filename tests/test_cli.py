@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,9 @@ from smoothcert import classifiers, cli, memory
 from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
+from smoothcert.pipeline import CampaignConfig
+from smoothcert.sigma_opt import SigmaOptConfig
+from smoothcert.smoothing import GaussianCertConfig
 from smoothcert.synthetic import make_two_clusters, save_dataset_csv
 
 
@@ -363,6 +367,22 @@ class TestCertify:
         metrics = json.loads((tmp / "l1.csv.metrics.json").read_text())
         assert metrics["metrics"]["n_inputs"] == 8
 
+    def test_config_echoes_the_campaign_settings(self, workspace):
+        tmp, data, clf = workspace
+        out = tmp / "r.csv"
+        assert cli_main(["certify", "--mode", "ds", "--sigma0", "0.25", "--iters", "7",
+                         "--n-cert", "300", "--seed", "5", "--dataset", str(data),
+                         "--classifier", str(clf), "--out", str(out)]) == 0
+        config = json.loads((tmp / "r.csv.metrics.json").read_text())["config"]
+        cfg = CampaignConfig(mode="ds", sigma0=0.25, cert=GaussianCertConfig(n_cert=300, seed=5),
+                             opt=SigmaOptConfig(iters_k=7))
+        assert config == json.loads(json.dumps(asdict(cfg))) | {
+            "dataset": str(data), "classifier": str(clf)}
+        # every setting left out is the library default
+        given = {"iters_k": 7, "n_cert": 300, "seed": 5}
+        assert config["opt"] | config["cert"] == (
+            asdict(SigmaOptConfig()) | asdict(GaussianCertConfig()) | given)
+
 
 REPORT_HEADER = ("idx,label,prediction,correct,radius,sigma_star,p_lower,"
                  "adjusted_by_memory\n")
@@ -507,7 +527,7 @@ class TestOptimizeSigma:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "noise/point dimension mismatch with classifier" in captured.err
+        assert captured.err == "error: --point has 3 coordinates, the classifier takes 2\n"
 
 
 class TestTrainDemo:

@@ -38,12 +38,14 @@ def test_compare_ds_fixed(tmp_path):
 
 def test_time_memory(tmp_path):
     out = run_script("time_memory.py", "--lattice-sizes", "20", "--random-sizes", "20",
-                     "--dense-sizes", "20", "--inserts", "3", "--repeats", "1", cwd=tmp_path)
+                     "--dense-sizes", "20", "--wide-sizes", "20",
+                     "--inserts", "3", "--repeats", "1", cwd=tmp_path)
     lines = out.splitlines()
     assert lines[0].split()[:3] == ["store", "d", "N"]
     assert [line.split()[:3] for line in lines[1:]] == [
         ["lattice", "2", "20"], ["lattice", "16", "20"],
-        ["random", "2", "20"], ["random", "16", "20"], ["dense", "2", "20"]]
+        ["random", "2", "20"], ["random", "16", "20"], ["dense", "2", "20"],
+        ["wide", "2", "20"]]
 
 
 def test_time_votes(tmp_path):
