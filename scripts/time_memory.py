@@ -20,9 +20,10 @@ overlap the store:
   nearest differently-predicted center. The inserted regions have radius 0.3
   and predict 1 where x0 > 0, so each meets about 45 stored regions and is
   overridden or shrunk about 2.7 times.
-- ``wide`` (d=2 only): the ``dense`` store and probe centers with inserted
-  regions of radius 2.0, so each meets about 1,200 stored regions (about 40%
-  of the store). This is where the insert's per-hit distance screen pays.
+- ``wide`` (d=2 only, at ``--dense-sizes``): the ``dense`` store and probe
+  centers with inserted regions of radius 2.0, so each meets about 1,200
+  stored regions (about 40% of the store). This is where the insert's
+  per-hit distance screen pays.
 
 Each figure is the median over ``--repeats`` runs, followed by the range.
 Only the public ``smoothcert.memory`` API is used, so the script times any
@@ -109,7 +110,6 @@ def main() -> int:
                     default=[1_000, 10_000, 100_000])
     ap.add_argument("--random-sizes", type=int, nargs="*", default=[1_000, 10_000])
     ap.add_argument("--dense-sizes", type=int, nargs="*", default=[3_000])
-    ap.add_argument("--wide-sizes", type=int, nargs="*", default=[3_000])
     ap.add_argument("--inserts", type=int, default=200,
                     help="regions inserted per repeat")
     ap.add_argument("--repeats", type=int, default=3)
@@ -120,7 +120,7 @@ def main() -> int:
     jobs = ([("lattice", lattice_store, n, (2, 16)) for n in args.lattice_sizes]
             + [("random", random_store, n, (2, 16)) for n in args.random_sizes]
             + [("dense", dense_store, n, (2,)) for n in args.dense_sizes]
-            + [("wide", wide_store, n, (2,)) for n in args.wide_sizes])
+            + [("wide", wide_store, n, (2,)) for n in args.dense_sizes])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "memory.jsonl"
         for name, build, n, dims in jobs:

@@ -367,22 +367,31 @@ class TestCertify:
         metrics = json.loads((tmp / "l1.csv.metrics.json").read_text())
         assert metrics["metrics"]["n_inputs"] == 8
 
-    def test_config_echoes_the_campaign_settings(self, workspace):
+    @pytest.mark.parametrize("flags, cert, opt", [
+        (["--iters", "7", "--n-cert", "300", "--seed", "5"],
+         {"n_cert": 300, "seed": 5}, {"iters_k": 7}),
+        # every budget and ascent flag off its default pins each flag's field
+        (["--n0", "50", "--n-cert", "300", "--alpha-fail", "0.01", "--seed", "5",
+          "--alpha-step", "2e-4", "--iters", "7", "--n", "3", "--sigma-min", "0.01",
+          "--sigma-max", "1.5", "--grad-mode", "analytic", "--return-mode", "best_iterate"],
+         {"n0": 50, "n_cert": 300, "alpha_fail": 0.01, "seed": 5},
+         {"step_alpha": 2e-4, "iters_k": 7, "n_samples": 3, "sigma_min": 0.01,
+          "sigma_max": 1.5, "grad_mode": "analytic", "return_mode": "best_iterate"}),
+    ], ids=["some_flags", "all_flags"])
+    def test_config_echoes_the_campaign_settings(self, workspace, flags, cert, opt):
         tmp, data, clf = workspace
         out = tmp / "r.csv"
-        assert cli_main(["certify", "--mode", "ds", "--sigma0", "0.25", "--iters", "7",
-                         "--n-cert", "300", "--seed", "5", "--dataset", str(data),
-                         "--classifier", str(clf), "--out", str(out)]) == 0
+        assert cli_main(["certify", "--mode", "ds", "--sigma0", "0.25", *flags,
+                         "--dataset", str(data), "--classifier", str(clf),
+                         "--out", str(out)]) == 0
         config = json.loads((tmp / "r.csv.metrics.json").read_text())["config"]
-        cfg = CampaignConfig(mode="ds", sigma0=0.25, cert=GaussianCertConfig(n_cert=300, seed=5),
-                             opt=SigmaOptConfig(iters_k=7))
+        cfg = CampaignConfig(mode="ds", sigma0=0.25, cert=GaussianCertConfig(**cert),
+                             opt=SigmaOptConfig(**opt))
         assert config == json.loads(json.dumps(asdict(cfg))) | {
             "dataset": str(data), "classifier": str(clf)}
         # every setting left out is the library default
-        given = {"iters_k": 7, "n_cert": 300, "seed": 5}
         assert config["opt"] | config["cert"] == (
-            asdict(SigmaOptConfig()) | asdict(GaussianCertConfig()) | given)
-
+            asdict(SigmaOptConfig()) | asdict(GaussianCertConfig()) | opt | cert)
 
 REPORT_HEADER = ("idx,label,prediction,correct,radius,sigma_star,p_lower,"
                  "adjusted_by_memory\n")

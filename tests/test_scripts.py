@@ -38,8 +38,7 @@ def test_compare_ds_fixed(tmp_path):
 
 def test_time_memory(tmp_path):
     out = run_script("time_memory.py", "--lattice-sizes", "20", "--random-sizes", "20",
-                     "--dense-sizes", "20", "--wide-sizes", "20",
-                     "--inserts", "3", "--repeats", "1", cwd=tmp_path)
+                     "--dense-sizes", "20", "--inserts", "3", "--repeats", "1", cwd=tmp_path)
     lines = out.splitlines()
     assert lines[0].split()[:3] == ["store", "d", "N"]
     assert [line.split()[:3] for line in lines[1:]] == [
