@@ -34,8 +34,7 @@ def main() -> int:
     for seed in range(args.seeds):
         xs, ys = make_two_clusters(args.n, seed=seed)
         ds = LabeledDataset(xs, ys)
-        cert = GaussianCertConfig(n0=100, n_cert=args.n_cert, alpha_fail=0.001,
-                                  seed=seed)
+        cert = GaussianCertConfig(n_cert=args.n_cert, seed=seed)
         opt = SigmaOptConfig(step_alpha=0.05, iters_k=args.iters, n_samples=32)
         for mode in (MODE_FIXED, MODE_DS):
             cfg = CampaignConfig(mode=mode, sigma0=args.sigma0, cert=cert,

@@ -6,11 +6,9 @@ the output directory; everything is a deterministic function of --seed.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from smoothcert.classifiers import (classifier_to_config,
-                                    probit_halfspace_classifier)
+from smoothcert.classifiers import probit_halfspace_classifier, save_classifier
 from smoothcert.synthetic import make_annuli, make_two_clusters, save_dataset_csv
 
 
@@ -29,9 +27,8 @@ def main() -> int:
     xs, ys = make_annuli(args.n, seed=args.seed)
     save_dataset_csv(xs, ys, out / "annuli.csv")
 
-    clf = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-    (out / "probit_halfspace.json").write_text(
-        json.dumps(classifier_to_config(clf), sort_keys=True) + "\n")
+    save_classifier(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5),
+                    out / "probit_halfspace.json")
 
     print(f"wrote clusters.csv, annuli.csv, probit_halfspace.json to {out}/")
     return 0

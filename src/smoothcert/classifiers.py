@@ -130,12 +130,9 @@ class ClassifierHandle:
     def probs(self, points: np.ndarray) -> np.ndarray:
         return self.probs_fn(self._points(points))
 
-    def labels(self, points: np.ndarray) -> np.ndarray:
-        """One class index per point: the argmax of ``probs``, lowest on ties."""
-        return self.vote_labels(points).astype(np.intp, copy=False)
-
     def vote_labels(self, points: np.ndarray) -> np.ndarray:
-        """``labels`` as ``labels_fn`` gave them; booleans skip the range pass with 2+ classes."""
+        """One class index per point, the argmax of ``probs`` (lowest on ties), as
+        ``labels_fn`` gave them; booleans skip the range pass with 2+ classes."""
         if self.labels_fn is None:
             return np.argmax(self.probs(points), axis=1)
         points = self._points(points)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -102,11 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "data-dependent vs fixed-scale certification")
     p_demo.add_argument("--seeds", type=int, default=1, help="number of seeds")
     p_demo.add_argument("--seed", type=int, default=None, help="first seed")
-    p_demo.add_argument("--epochs", type=int, default=30,
-                        help="epochs per phase (warmup and adaptive)")
-    p_demo.add_argument("--n-train", type=int, default=120)
-    p_demo.add_argument("--n-test", type=int, default=60)
-    p_demo.add_argument("--n-cert", type=int, default=2000)
+    p_demo.add_argument("--epochs", type=int, help="epochs per phase (warmup and adaptive)")
+    p_demo.add_argument("--n-train", type=int)
+    p_demo.add_argument("--n-test", type=int)
+    p_demo.add_argument("--n-cert", type=int)
     p_demo.add_argument("--out-json", default=None)
 
     p_rep = sub.add_parser("report", help="recompute metrics from a results CSV")
@@ -127,11 +127,12 @@ def _parse_radii(text: str | None) -> tuple[float, ...]:
     return DEFAULT_RADII if text is None else _floats(text, "--radii")
 
 
-def _given(cls, args, **values):
-    """``cls`` from ``values`` and the flags whose dest names one of its fields; a
-    flag left out (None) takes the field's default, so no flag restates one."""
-    given = {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
-    return cls(**given | values)
+def _given(fn, args, **values):
+    """``fn(**values)`` plus each flag whose dest names a parameter of ``fn``; a flag
+    left out (None) keeps the parameter's default, so no flag restates one."""
+    given = {name: v for name in inspect.signature(fn).parameters
+             if (v := getattr(args, name, None)) is not None}
+    return fn(**given | values)
 
 
 def _cmd_certify(args) -> int:
@@ -189,21 +190,16 @@ def _cmd_optimize_sigma(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
-    if args.seeds < 1 or args.epochs < 0:
-        raise ValueError(f"need --seeds >= 1 and --epochs >= 0, got {args.seeds} "
-                         f"and {args.epochs}")
-    if args.n_train < 1 or args.n_test < 1 or args.n_cert < 100:  # 100: the demo's n0
-        raise ValueError("need --n-train >= 1, --n-test >= 1 and --n-cert >= 100")
+    if args.seeds < 1:
+        raise ValueError(f"need --seeds >= 1, got {args.seeds}")
     first = _seed(args, args.seeds)
     results = []
     for s in range(first, first + args.seeds):
-        res = run_training_demo(seed=s, n_train=args.n_train, n_test=args.n_test,
-                                epochs=args.epochs, n_cert=args.n_cert)
+        res = _given(run_training_demo, args, seed=s)
         win = res["acr_ds"] > res["acr_fixed"]
         print(f"seed={s} acr_fixed={res['acr_fixed']:.6f} "
               f"acr_ds={res['acr_ds']:.6f} ds_wins={win}")
-        results.append({"seed": s, "acr_fixed": res["acr_fixed"],
-                        "acr_ds": res["acr_ds"], "ds_wins": win})
+        results.append({k: res[k] for k in ("seed", "acr_fixed", "acr_ds")} | {"ds_wins": win})
     wins = sum(r["ds_wins"] for r in results)
     print(f"data-dependent certification won on {wins}/{args.seeds} seeds")
     if args.out_json:

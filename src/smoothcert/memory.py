@@ -70,8 +70,9 @@ class CertifiedRegion:
                              f"{self.center}, radius={self.radius}, sigma_used={self.sigma_used}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.prediction < 0:
-            raise ValueError(f"prediction must be a class index >= 0, got {self.prediction}")
+        if not (np.issubdtype(type(pred := self.prediction), np.integer)  # bool is not one
+                and 0 <= pred < 2**63):  # the store keeps predictions as int64
+            raise ValueError(f"prediction must be an integer in [0, 2**63), got {pred!r}")
         if self.norm not in (NORM_L2, NORM_L1):
             raise ValueError(f"unknown norm {self.norm!r}")
         if len(self.center) < 1:
@@ -167,7 +168,7 @@ class MemoryStore:
         self.norm: str | None = None  # of every region; None while empty
         self._size = 0
         self._use(np.empty((0, 1)), (), (), (), 0)
-        self.insertions = self.comparisons = 0
+        self.comparisons = 0
         self.overlap_events = 0
 
     def __len__(self) -> int:
@@ -265,7 +266,6 @@ def memory_insert(store: MemoryStore, region: CertifiedRegion
     store.comparisons += n
     cand = replace(region, radius=radius, prediction=prediction) if adjusted else region
     store._append(cand)
-    store.insertions += 1
     return cand.prediction, cand, adjusted
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .classifiers import ClassifierHandle
 from .memory import (NORM_L1, NORM_L2, CertifiedRegion, MemoryStore,
                      memory_insert, save_memory)
-from .sigma_opt import SigmaOptConfig, optimize_sigma
+from .sigma_opt import RETURN_BEST_ITERATE, SigmaOptConfig, optimize_sigma
 from .smoothing import (_VOTE_BATCH, ABSTAIN, NOISE_GAUSSIAN, NOISE_UNIFORM,
                         GaussianCertConfig, NoiseBatch, _fill_noise, _seed_words,
                         _Words, certify_l1, certify_l2, draw_noise)
@@ -77,7 +77,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":  # a cast would truncate, or wrap past int64
+            bad = labels[~((np.floor(labels) == labels) & (np.abs(labels) < 2**63))]
+            if bad.size:
+                raise ValueError(f"labels must be whole numbers below 2**63, got {bad[0]}")
+        labels = labels.astype(int)
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {points.shape}")
         if not np.all(np.isfinite(points)):
@@ -351,11 +356,16 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
 
     Training warms up for ``epochs`` epochs of plain fixed-scale augmentation
     (zero optimization iterations), then runs ``epochs`` more with one ascent
-    step per epoch and the scales carried over between epochs.
+    step per epoch and the scales carried over between epochs. Sizes that do no
+    work, ``n_cert`` below the budget's ``n0`` among them, raise before any training.
     """
     from .classifiers import TinyMLP, mlp_classifier
     from .synthetic import make_annuli
 
+    if n_train < 1 or n_test < 1 or epochs < 0:
+        raise ValueError("need n_train >= 1, n_test >= 1 and epochs >= 0, got "
+                         f"{n_train}, {n_test} and {epochs}")
+    cert = GaussianCertConfig(n_cert=n_cert, seed=seed)
     xs, ys = make_annuli(n_train, seed=seed)
     xt, yt = make_annuli(n_test, seed=seed + 10_000)
     mlp = TinyMLP(2, 16, 2, rng=np.random.default_rng(
@@ -366,8 +376,7 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
 
     sigma0 = 0.25
     base_opt = SigmaOptConfig(step_alpha=0.02, iters_k=0, n_samples=16,
-                              sigma_min=0.05, sigma_max=2.0,
-                              grad_mode="scalar_fd", fd_step=0.05)
+                              sigma_min=0.05, sigma_max=2.0, fd_step=0.05)
     ds_opt = replace(base_opt, iters_k=1)
     sigmas = np.full(n_train, sigma0)
     for epoch in range(2 * epochs):
@@ -379,15 +388,10 @@ def run_training_demo(seed: int = 0, n_train: int = 120, n_test: int = 60,
                                       opt_cfg, trainer, rng)
 
     test_set = LabeledDataset(xt, yt)
-    cert = GaussianCertConfig(n0=100, n_cert=n_cert, alpha_fail=0.001, seed=seed)
     cert_opt = replace(base_opt, iters_k=100, n_samples=32,
-                       return_mode="best_iterate")
-    _, _, m_fixed = run_campaign(
-        CampaignConfig(mode=MODE_FIXED, sigma0=sigma0, cert=cert, opt=cert_opt),
-        dataset=test_set, classifier=c)
-    _, _, m_ds = run_campaign(
-        CampaignConfig(mode=MODE_DS, sigma0=sigma0, cert=cert, opt=cert_opt),
-        dataset=test_set, classifier=c)
+                       return_mode=RETURN_BEST_ITERATE)
+    m_fixed, m_ds = (run_campaign(CampaignConfig(mode, sigma0, cert, cert_opt), test_set, c)[2]
+                     for mode in (MODE_FIXED, MODE_DS))
     return {"seed": int(seed), "acr_fixed": m_fixed.acr, "acr_ds": m_ds.acr,
             "metrics_fixed": m_fixed, "metrics_ds": m_ds,
             "carried_sigmas": sigmas}

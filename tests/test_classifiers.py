@@ -484,8 +484,8 @@ class TestLabels:
         c = build()
         rng = np.random.default_rng(5)
         for pts in (rng.normal(scale=3.0, size=(2000, 2)), np.array(boundary)):
-            labels = c.labels(pts)
-            assert labels.shape == (len(pts),) and labels.dtype == np.intp
+            labels = c.vote_labels(pts)
+            assert labels.shape == (len(pts),) and labels.dtype.kind in "biu"
             assert np.array_equal(labels, np.argmax(c.probs(pts), axis=1))
 
     def test_probit_tie_threshold_gives_the_argmax_bit_for_bit(self):
@@ -499,13 +499,13 @@ class TestLabels:
         c = probit_halfspace_classifier([1.0], 0.0, 1.0)
         for pts in (near, np.array(edges)):
             pts = pts[:, None]
-            assert np.array_equal(c.labels(pts), np.argmax(c.probs(pts), axis=1))
+            assert np.array_equal(c.vote_labels(pts), np.argmax(c.probs(pts), axis=1))
         # points large enough that u = (w.x - b) / s overflows to +-inf
         c = probit_halfspace_classifier([1.0], 0.0, 1e-300)
         pts = np.array([[1e300], [-1e300], [1e10], [-1e10], [1e-300], [-1e-300]])
         with np.errstate(over="ignore"):
-            assert np.array_equal(c.labels(pts), np.argmax(c.probs(pts), axis=1))
-            assert c.labels(pts).tolist() == [1, 0, 1, 0, 1, 0]
+            assert np.array_equal(c.vote_labels(pts), np.argmax(c.probs(pts), axis=1))
+            assert c.vote_labels(pts).tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_boundary_labels(self):
         # ties go to class 0; a point on the closed ball is inside
@@ -514,41 +514,41 @@ class TestLabels:
                                ("probit_halfspace", [0, 0, 0, 0, 0, 0, 1]),
                                ("nested_ball", [1, 1, 1, 1])):
             build, boundary = LABEL_CASES[kind]
-            assert build().labels(np.array(boundary)).tolist() == expected
+            assert build().vote_labels(np.array(boundary)).tolist() == expected
 
     def test_hard_probs_are_one_hot_labels(self):
         for kind in ("hard_halfspace", "nested_ball"):
             build, boundary = LABEL_CASES[kind]
             c = build()
             pts = np.concatenate([boundary, np.random.default_rng(6).normal(size=(50, 2))])
-            assert np.array_equal(c.probs(pts), np.eye(2)[c.labels(pts)])
+            assert np.array_equal(c.probs(pts), np.eye(2)[c.vote_labels(pts).astype(int)])
 
     def test_points_of_the_wrong_shape_rejected(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
         with pytest.raises(ValueError, match=r"expected points of shape \(m, 2\)"):
-            c.labels(np.zeros((4, 3)))
+            c.vote_labels(np.zeros((4, 3)))
         with pytest.raises(ValueError, match=r"expected points of shape \(m, 2\)"):
-            c.labels(np.zeros(2))
+            c.vote_labels(np.zeros(2))
 
     def test_labels_fn_output_of_the_wrong_shape_rejected(self):
         c = replace(hard_halfspace_classifier([1.0, 0.0], 0.0),
                     labels_fn=lambda points: np.zeros((len(points), 1), dtype=int))
         with pytest.raises(ValueError, match="kind='hard_halfspace' labels_fn must "
                                              r"return 3 class indices in \[0, 2\)"):
-            c.labels(np.zeros((3, 2)))
+            c.vote_labels(np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_labels_fn_value_out_of_range_rejected(self, bad):
         c = replace(nested_ball_classifier(1.0, dim=2),
                     labels_fn=lambda points: np.full(len(points), bad))
         with pytest.raises(ValueError, match="kind='nested_ball' labels_fn must "):
-            c.labels(np.zeros((3, 2)))
+            c.vote_labels(np.zeros((3, 2)))
 
     def test_labels_fn_non_integer_output_rejected(self):
         c = replace(nested_ball_classifier(1.0, dim=2),
                     labels_fn=lambda points: np.ones(len(points)))
         with pytest.raises(ValueError, match="kind='nested_ball' labels_fn must "):
-            c.labels(np.zeros((3, 2)))
+            c.vote_labels(np.zeros((3, 2)))
 
     def test_positional_construction_keeps_the_argmax_default(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
@@ -556,22 +556,23 @@ class TestLabels:
                                  c.params, None)
         assert plain.labels_fn is None
         pts = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        assert plain.labels(pts).tolist() == [0, 0, 1]
+        assert plain.vote_labels(pts).tolist() == [0, 0, 1]
 
     def test_binary_builtins_vote_with_booleans(self):
         pts = np.random.default_rng(8).normal(size=(500, 2))
         for kind in ("hard_halfspace", "probit_halfspace", "nested_ball"):
             c = LABEL_CASES[kind][0]()
             votes = c.vote_labels(pts)
-            assert votes.dtype == bool and np.array_equal(votes, c.labels(pts))
+            assert votes.dtype == bool
+            assert np.array_equal(votes, np.argmax(c.probs(pts), axis=1))
 
     def test_boolean_labels_fn_on_one_class_rejected(self):
         c = ClassifierHandle("one", 2, 1, lambda points: np.ones((len(points), 1)),
                              labels_fn=lambda points: points[:, 0] > 0)
-        assert c.labels(np.array([[-1.0, 0.0]])).tolist() == [0]  # False is in range
+        assert c.vote_labels(np.array([[-1.0, 0.0]])).tolist() == [0]  # False is in range
         with pytest.raises(ValueError, match="kind='one' labels_fn must return 2 "
                                              r"class indices in \[0, 1\)"):
-            c.labels(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+            c.vote_labels(np.array([[-1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="kind='one' labels_fn must "):
             vote_counts(c, [0.0, 0.0], 1.0, 100, rng_for_input(0, 0))
 
@@ -579,8 +580,7 @@ class TestLabels:
         c = ClassifierHandle("three", 2, 3, lambda points: np.full((len(points), 3), 1 / 3),
                              labels_fn=lambda points: points[:, 0] > 0)
         as_ints = replace(c, labels_fn=lambda points: (points[:, 0] > 0).astype(int))
-        labels = c.labels(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        assert labels.dtype == np.intp and labels.tolist() == [1, 0]
+        assert c.vote_labels(np.array([[1.0, 0.0], [-1.0, 0.0]])).tolist() == [1, 0]
         got = vote_counts(c, [0.1, 0.0], 1.0, 40_000, rng_for_input(3, 0))
         assert np.array_equal(got, vote_counts(as_ints, [0.1, 0.0], 1.0, 40_000,
                                                rng_for_input(3, 0)))

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, and file outputs."""
 
+import functools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import smoothcert
-from smoothcert import classifiers, cli, memory
+from smoothcert import classifiers, cli, memory, pipeline
 from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
@@ -551,32 +552,59 @@ class TestTrainDemo:
         text = capsys.readouterr().out
         assert "acr_fixed" in text and "acr_ds" in text
 
-    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"),
-                                            ("--epochs", "-3")])
-    def test_counts_that_do_no_work_are_rejected(self, tmp_path, capsys, flag,
-                                                 value):
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_seed_counts_that_do_no_work_are_rejected(self, tmp_path, capsys, value):
         out = tmp_path / "demo.json"
-        code = cli_main(["train-demo", flag, value, "--out-json", str(out)])
+        code = cli_main(["train-demo", "--seeds", value, "--out-json", str(out)])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "need --seeds >= 1 and --epochs >= 0" in captured.err
+        assert captured.out == "" and f"need --seeds >= 1, got {value}" in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--n-train", "0"), ("--n-test", "0"),
-                                            ("--n-cert", "99")])
+    @pytest.fixture
+    def demo_calls(self, monkeypatch):
+        """The keyword arguments of every ``run_training_demo`` call."""
+        calls = []
+
+        @functools.wraps(cli.run_training_demo)
+        def demo(**kwargs):
+            calls.append(kwargs)
+            return {"seed": kwargs["seed"], "acr_fixed": 0.5, "acr_ds": 0.75}
+
+        monkeypatch.setattr(cli, "run_training_demo", demo)
+        return calls
+
+    def test_every_size_flag_reaches_the_demo(self, demo_calls):
+        assert cli_main(["train-demo", "--seeds", "2", "--seed", "3", "--epochs", "2",
+                         "--n-train", "24", "--n-test", "10", "--n-cert", "400"]) == 0
+        sizes = {"epochs": 2, "n_train": 24, "n_test": 10, "n_cert": 400}
+        assert demo_calls == [{"seed": 3} | sizes, {"seed": 4} | sizes]
+
+    @pytest.mark.parametrize("flag,name,value", [
+        (None, None, None), ("--epochs", "epochs", 2), ("--n-train", "n_train", 24),
+        ("--n-test", "n_test", 10), ("--n-cert", "n_cert", 400)])
+    def test_a_flag_left_out_passes_nothing(self, demo_calls, flag, name, value):
+        given = [flag, str(value)] if flag else []
+        assert cli_main(["train-demo", "--seed", "3", *given]) == 0
+        assert demo_calls == [{"seed": 3} | ({name: value} if flag else {})]
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n-train", "0", "need n_train >= 1, n_test >= 1 and epochs >= 0, got 0, 60 and 1"),
+        ("--n-test", "0", "need n_train >= 1, n_test >= 1 and epochs >= 0, got 120, 0 and 1"),
+        ("--epochs", "-3", "need n_train >= 1, n_test >= 1 and epochs >= 0, got 120, 60 and -3"),
+        ("--n-cert", "99", "n_cert must be >= n0, got 99 < 100")])
     def test_sizes_that_do_no_work_are_rejected_before_training(self, monkeypatch,
                                                                 tmp_path, capsys,
-                                                                flag, value):
-        def no_training(**kwargs):
-            raise AssertionError("the demo ran")
+                                                                flag, value, message):
+        def ran(*args, **kwargs):
+            raise AssertionError("a training step ran")
 
-        monkeypatch.setattr(cli, "run_training_demo", no_training)
+        monkeypatch.setattr(pipeline, "train_batch", ran)
         out = tmp_path / "demo.json"
-        code = cli_main(["train-demo", "--epochs", "1", flag, value, "--out-json", str(out)])
-        assert code == 1
+        args = ["train-demo", "--seeds", "2", "--epochs", "1", flag, value]
+        assert cli_main(args + ["--out-json", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "need --n-train >= 1, --n-test >= 1 and --n-cert >= 100" in captured.err
+        assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -65,9 +65,11 @@ def ref_overlaps(d, r_a, r_b, scale=0.0):
 class RefStore:
     def __init__(self, regions=()):
         self.regions = list(regions)
-        self.insertions = 0
         self.comparisons = 0
         self.overlap_events = 0
+
+    def __len__(self):
+        return len(self.regions)
 
 
 def ref_distance(a, b):
@@ -102,7 +104,6 @@ def ref_insert(store, region):
         adjusted = True
         store.overlap_events += 1
     store.regions.append(cand)
-    store.insertions += 1
     return cand.prediction, cand, adjusted
 
 
@@ -118,7 +119,7 @@ def ref_first_overlap(regions):
 
 
 def counters(store):
-    return store.insertions, store.comparisons, store.overlap_events
+    return len(store), store.comparisons, store.overlap_events
 
 
 def insert_both(store, ref, r):
@@ -229,6 +230,24 @@ class TestRegion:
     def test_abstain_prediction_rejected(self):
         with pytest.raises(ValueError, match="prediction"):
             region((0.0,), 0.5, -1)
+
+    @pytest.mark.parametrize("prediction", [1.5, 1.0, True, np.float64(1.0), 2**63, "1"],
+                             ids=["fraction", "whole_float", "bool", "numpy_float",
+                                  "two_to_the_63", "string"])
+    def test_prediction_that_the_store_cannot_keep_rejected(self, prediction):
+        # the int64 column would keep 1 for 1.5 or True, so a reloaded store
+        # would disagree with what memory_insert returned
+        with pytest.raises(ValueError, match=r"prediction must be an integer in \[0, 2\*\*63\)"):
+            memory_insert(MemoryStore(), CertifiedRegion((0.0, 0.0), 1.0, prediction, 0.25))
+
+    @pytest.mark.parametrize("prediction", [0, 1, np.int64(2), np.uint8(3), 2**63 - 1])
+    def test_integer_predictions_round_trip(self, tmp_path, prediction):
+        store = MemoryStore()
+        got, stored, _ = memory_insert(store, CertifiedRegion((0.0, 0.0), 1.0, prediction,
+                                                              0.25))
+        save_memory(store, tmp_path / "m.jsonl")
+        assert got == stored.prediction == prediction
+        assert load_memory(tmp_path / "m.jsonl").regions[0].prediction == prediction
 
     @pytest.mark.parametrize("center,radius,sigma", [
         ((math.nan, 0.0), 0.5, 0.25), ((0.0, math.inf), 0.5, 0.25),

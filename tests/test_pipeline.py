@@ -118,6 +118,19 @@ class TestLoadDataset:
             LabeledDataset(np.asarray(points), np.asarray(labels))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("labels,shown", [
+        ([0.5, 1.7], "0.5"), ([0.0, 1.5], "1.5"), ([math.nan, 0.0], "nan"),
+        ([math.inf, 0.0], "inf"), ([2.0**63, 0.0], "9.223372036854776e+18")],
+        ids=["fractions", "one_fraction", "nan", "inf", "two_to_the_63"])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels, shown):
+        with pytest.raises(ValueError) as info:
+            LabeledDataset(np.zeros((2, 2)), labels)
+        assert str(info.value) == f"labels must be whole numbers below 2**63, got {shown}"
+
+    def test_whole_float_labels_are_class_indices(self):
+        ds = LabeledDataset(np.zeros((2, 2)), [1.0, 0.0])
+        assert ds.labels.dtype.kind == "i" and ds.labels.tolist() == [1, 0]
+
     def test_save_rejects_a_length_mismatch(self, tmp_path):
         p = tmp_path / "d.csv"
         with pytest.raises(ValueError, match="points and labels must have equal length"):
@@ -460,8 +473,7 @@ class TestThreadedCampaign:
             run_campaign(self._cfg(MODE_DS, n_cert=n_cert), dataset=ds,
                          classifier=failing, memory=memory)
         assert memory == before
-        assert (memory.insertions, memory.comparisons) == (before.insertions,
-                                                           before.comparisons)
+        assert (len(memory), memory.comparisons) == (len(before), before.comparisons)
 
 
 class TestTrainBatch:
@@ -514,6 +526,24 @@ class TestTrainBatch:
         with pytest.raises(ValueError, match="kind='constant' is not trainable"):
             GaussianAugmentationTrainer()(c, np.zeros((2, 2)), np.zeros(2, dtype=int),
                                           np.full(2, 0.25), np.random.default_rng(0))
+
+
+class TestTrainingDemo:
+    @pytest.mark.parametrize("sizes,message", [
+        ({"n_cert": 99}, r"n_cert must be >= n0, got 99 < 100"),
+        ({"n_train": 0}, r"need n_train >= 1, n_test >= 1 and epochs >= 0, got 0, 60 and 1"),
+        ({"n_test": 0}, r"need n_train >= 1, n_test >= 1 and epochs >= 0, got 120, 0 and 1"),
+        ({"epochs": -1}, r"need n_train >= 1, n_test >= 1 and epochs >= 0, got 120, 60 and -1"),
+    ], ids=["n_cert", "n_train", "n_test", "epochs"])
+    def test_sizes_that_do_no_work_raise_before_any_training(self, monkeypatch, sizes,
+                                                             message):
+        def ran(*args, **kwargs):
+            raise AssertionError("the demo drew data or trained")
+
+        monkeypatch.setattr(pipeline, "train_batch", ran)
+        monkeypatch.setattr("smoothcert.synthetic.make_annuli", ran)
+        with pytest.raises(ValueError, match=message):
+            pipeline.run_training_demo(**{"epochs": 1} | sizes)
 
 
 class TestReports:
