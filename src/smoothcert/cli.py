@@ -26,7 +26,7 @@ from .pipeline import (DEFAULT_RADII, MODE_DS, MODE_DS_L1, MODE_FIXED,
                        read_report_csv, run_campaign, run_training_demo)
 from .sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD, RETURN_BEST_ITERATE,
                         RETURN_FAITHFUL, SigmaOptConfig, optimize_sigma)
-from .smoothing import GaussianCertConfig, draw_noise
+from .smoothing import STREAM_OPT, GaussianCertConfig, draw_noise, rng_for_input
 
 __all__ = ["build_parser", "cli_main", "main"]
 
@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the scale-ascent trace for one input")
     p_opt.add_argument("--classifier", required=True)
     p_opt.add_argument("--point", required=True,
-                       help="comma-separated input coordinates")
+                       help="comma-separated input coordinates; write --point=-1,2 "
+                            "when the first one is negative")
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--sigma0", type=float, required=True)
     _add_opt_flags(p_opt)
@@ -135,6 +136,20 @@ def _given(fn, args, **values):
     return fn(**given | values)
 
 
+def _check_outputs(outputs, inputs=()) -> None:
+    """Each output (flag, path) given must name a file in an existing directory and
+    no file an earlier flag names, save --memory-out naming the --memory-in file."""
+    flags: dict[str, str] = {}  # real path -> the first flag naming it
+    for flag, path in (*inputs, *outputs):
+        first = flags.setdefault(real := os.path.realpath(path), flag) if path else flag
+        if path and (flag, path) in outputs:
+            if first != flag and (first, flag) != ("--memory-in", "--memory-out"):
+                raise ValueError(f"{first} and {flag} name the same file: {path}")
+            if (is_dir := os.path.isdir(real)) or not os.path.isdir(os.path.dirname(real)):
+                raise ValueError(f"{flag}: {path} is a directory" if is_dir
+                                 else f"{flag}: the directory of {path} does not exist")
+
+
 def _cmd_certify(args) -> int:
     # Looked up at call time, so a hook set on a module attribute sees the call.
     from .classifiers import load_classifier
@@ -142,17 +157,10 @@ def _cmd_certify(args) -> int:
     from .pipeline import emit_report, load_dataset
 
     metrics_out = args.metrics_out or args.out + ".metrics.json"
-    flags: dict[str, str] = {}  # real path -> the first flag naming it
-    for flag, path in (("--dataset", args.dataset), ("--classifier", args.classifier),
-                       ("--memory-in", args.memory_in), ("--out", args.out),
-                       ("--metrics-out", metrics_out), ("--memory-out", args.memory_out)):
-        first = flags.setdefault(real := os.path.realpath(path), flag) if path else flag
-        if path and flag.endswith("out"):  # an output; only --memory-out may name --memory-in
-            if first != flag and (first, flag) != ("--memory-in", "--memory-out"):
-                raise ValueError(f"{first} and {flag} name the same file: {path}")
-            if (is_dir := os.path.isdir(real)) or not os.path.isdir(os.path.dirname(real)):
-                raise ValueError(f"{flag}: {path} is a directory" if is_dir
-                                 else f"{flag}: the directory of {path} does not exist")
+    _check_outputs((("--out", args.out), ("--metrics-out", metrics_out),
+                    ("--memory-out", args.memory_out)),
+                   (("--dataset", args.dataset), ("--classifier", args.classifier),
+                    ("--memory-in", args.memory_in)))
     if args.mode == MODE_FIXED and (args.memory_in or args.memory_out):
         raise ValueError("--memory-in and --memory-out need --mode ds or ds_l1")
     cfg = _given(CampaignConfig, args, cert=_given(GaussianCertConfig, args, seed=_seed(args)),
@@ -179,9 +187,9 @@ def _cmd_optimize_sigma(args) -> int:
     if x.size != c.dim:
         raise ValueError(f"--point has {x.size} coordinates, the classifier takes {c.dim}")
     cfg = _given(SigmaOptConfig, args)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    sigma_star, trace = optimize_sigma(c, x, cfg, draw_noise(rng, cfg.n_samples, c.dim),
-                                       args.sigma0)
+    # row 0's ascent stream, so sigma* is the one a one-row ds campaign certifies
+    noise = draw_noise(rng_for_input(seed, 0, STREAM_OPT), cfg.n_samples, c.dim)
+    sigma_star, trace = optimize_sigma(c, x, cfg, noise, args.sigma0)
     print("iter,sigma,proxy_radius,top_class")
     for e in trace:
         print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")
@@ -193,6 +201,7 @@ def _cmd_train_demo(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"need --seeds >= 1, got {args.seeds}")
     first = _seed(args, args.seeds)
+    _check_outputs([("--out-json", args.out_json)])
     results = []
     for s in range(first, first + args.seeds):
         res = _given(run_training_demo, args, seed=s)

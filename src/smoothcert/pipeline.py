@@ -6,10 +6,10 @@ the memory so differently-predicted certificates can never overlap. The scale
 ascent runs in one batched call per block of rows, and ``_ASCENT_POINTS`` fixes
 the blocks: a row's sigma* can move by an ulp with the rows that share its
 classifier call. Rows are certified on up to one thread per CPU, then inserted
-into the memory in dataset order; per-row seeds make the results independent of
-the threads and the CPU count. ``run_campaign`` reads and writes no files: it
-takes the dataset, classifier and memory as objects and returns the records,
-memory and metrics, which ``emit_report`` writes.
+into the memory in dataset order; per-row streams (``STREAM_CERT``, ``STREAM_OPT``)
+make the results independent of the threads and the CPU count. ``run_campaign``
+reads and writes no files: it takes the dataset, classifier and memory as
+objects and returns the records, memory and metrics, which ``emit_report`` writes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .classifiers import ClassifierHandle
 from .memory import (NORM_L1, NORM_L2, CertifiedRegion, MemoryStore,
                      memory_insert, save_memory)
 from .sigma_opt import RETURN_BEST_ITERATE, SigmaOptConfig, optimize_sigma
-from .smoothing import (_VOTE_BATCH, ABSTAIN, NOISE_GAUSSIAN, NOISE_UNIFORM,
-                        GaussianCertConfig, NoiseBatch, _fill_noise, _seed_words,
-                        _Words, certify_l1, certify_l2, draw_noise)
+from .smoothing import (_VOTE_BATCH, ABSTAIN, NOISE_GAUSSIAN, NOISE_UNIFORM, STREAM_CERT,
+                        STREAM_OPT, GaussianCertConfig, NoiseBatch, certify_l1,
+                        certify_l2, draw_noise, row_rngs)
 
 __all__ = [
     "MODE_FIXED",
@@ -62,9 +63,6 @@ DEFAULT_RADII = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 REPORT_HEADER = ["idx", "label", "prediction", "correct", "radius",
                  "sigma_star", "p_lower", "adjusted_by_memory"]
 
-# Streams of the per-input counter-based generator.
-_STREAM_CERT = 0
-_STREAM_OPT = 1
 # Points per ascent call; fixed, as the block layout can move outputs by an ulp.
 _ASCENT_POINTS = 1 << 16
 _POOL_MIN_VOTES = 1 << 12  # lighter rows are Python-bound: threads measured slower
@@ -201,18 +199,17 @@ def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig,
                    kind: str) -> np.ndarray:
     """Optimized scale of every row, one ``optimize_sigma`` call per block.
 
-    An iterate scores at most three scales of n draws per row, so blocks of
-    _ASCENT_POINTS // (3 n) rows keep each classifier call within that bound.
+    An iterate scores at most three scales of n draws per row: blocks of
+    _ASCENT_POINTS // (3 n) rows keep a classifier call within that bound
+    while 3 n <= _ASCENT_POINTS, and a larger n gives one-row blocks of 3 n points.
     """
     n = cfg.opt.n_samples
     block = max(1, _ASCENT_POINTS // (3 * n))
-    words = _seed_words(cfg.cert.seed, np.arange(len(dataset)), _STREAM_OPT)
+    rngs = row_rngs(cfg.cert.seed, len(dataset), STREAM_OPT)
     scales = np.empty(len(dataset))
     for start in range(0, len(dataset), block):
         stop = min(start + block, len(dataset))
-        draws = np.empty((stop - start, n, c.dim))
-        for row, w in zip(draws, words[start:stop]):
-            _fill_noise(np.random.Generator(np.random.PCG64(_Words(w))), row, kind)
+        draws = np.stack([draw_noise(rng, n, c.dim, kind).draws for rng in rngs[start:stop]])
         scales[start:stop], _ = optimize_sigma(
             c, dataset.points[start:stop], cfg.opt, NoiseBatch(kind, draws), cfg.sigma0)
     return scales
@@ -257,15 +254,11 @@ def run_campaign(cfg: CampaignConfig, dataset: LabeledDataset,
     scales = ([cfg.sigma0] * len(dataset) if cfg.mode == MODE_FIXED
               else _ascent_scales(classifier, dataset, cfg, kind).tolist())
     certify = certify_l1 if kind == NOISE_UNIFORM else certify_l2
-    words = _seed_words(cfg.cert.seed, np.arange(len(dataset)), _STREAM_CERT)
-
-    def certify_row(i):  # row i draws from rng_for_input(seed, i, _STREAM_CERT)
-        return certify(classifier, dataset.points[i], scales[i], cfg.cert,
-                       rng=np.random.Generator(np.random.PCG64(_Words(words[i]))))
-
+    rngs = row_rngs(cfg.cert.seed, len(dataset), STREAM_CERT)
     with ThreadPoolExecutor(min(_cpu_count(), _ASCENT_POINTS // _VOTE_BATCH)) as pool:
         mapper = map if cfg.cert.n_cert < _POOL_MIN_VOTES else pool.map
-        outcomes = list(mapper(certify_row, range(len(dataset))))
+        outcomes = list(mapper(certify, repeat(classifier), dataset.points, scales,
+                               repeat(cfg.cert), rngs))
     records: list[CertRecord] = []
     for i, (x, scale, out) in enumerate(zip(dataset.points, scales, outcomes)):
         prediction, radius, adjusted = out.prediction, out.radius, False

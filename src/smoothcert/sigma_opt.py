@@ -46,8 +46,8 @@ class SigmaOptConfig:
     ``faithful`` return mode hands back the final iterate; ``best_iterate``
     returns the trace argmax, which is guaranteed not to fall below the
     starting radius under the shared noise batch. The start scale and the
-    noise are ``optimize_sigma`` arguments: a campaign starts each row at its
-    ``sigma0``, with row idx's draws from ``rng_for_input(cert.seed, idx, 1)``.
+    noise are ``optimize_sigma`` arguments: a campaign starts row i at its
+    ``sigma0`` with noise from ``rng_for_input(cert.seed, i, STREAM_OPT)``.
     """
     step_alpha: float = 1e-4
     iters_k: int = 100

@@ -5,10 +5,10 @@ L1 certificates. The plug-in radius used inside the scale optimizer lives
 here too; it shares the sampling conventions but is *not* a sound bound, and
 ``plugin_radii`` scores it at many scales with one classifier call.
 
-Sampling is counter-based: every (seed, input_index, stream) triple maps to
-an independent deterministic stream, so certification of distinct inputs
-runs concurrently, in any order, without changing results. ``rng_for_input``
-defines each stream; a campaign hashes all its row seeds in one pass.
+Sampling is counter-based: ``rng_for_input`` maps each (seed, input_index,
+stream) triple to an independent generator, a row voting on ``STREAM_CERT`` and
+drawing ascent noise on ``STREAM_OPT``, so inputs are certified in any order
+with the same results; ``row_rngs`` hashes a stream's row seeds in one pass.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "CertificationOutcome",
     "NoiseBatch",
     "rng_for_input",
+    "row_rngs",
     "draw_noise",
     "vote_counts",
     "certify_l2",
@@ -43,6 +44,9 @@ _VOTE_BATCH = 1 << 14
 
 NOISE_GAUSSIAN = "gaussian"
 NOISE_UNIFORM = "uniform"
+
+STREAM_CERT = 0
+STREAM_OPT = 1
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,12 @@ class _Words(ISeedSequence):
         return self.words
 
 
+def row_rngs(seed: int, n: int, stream: int) -> list[np.random.Generator]:
+    """``[rng_for_input(seed, i, stream) for i in range(n)]``, hashed in one pass."""
+    return [np.random.Generator(np.random.PCG64(_Words(w)))
+            for w in _seed_words(seed, np.arange(n), stream)]
+
+
 def _fill_noise(rng: np.random.Generator, out: np.ndarray, kind: str) -> np.ndarray:
     """Standard draws into ``out``: N(0, 1), or U[-1, 1] as -1 + 2u, numpy's own bits."""
     if kind == NOISE_UNIFORM:
@@ -217,7 +227,7 @@ def _certify(c, x, scale, cfg, kind, rng) -> CertificationOutcome:
         name = "lambda" if kind == NOISE_UNIFORM else "sigma"
         raise ValueError(f"{name} must be positive and finite, got {scale}")
     scale = float(scale)
-    rng = rng_for_input(cfg.seed, 0) if rng is None else rng
+    rng = rng_for_input(cfg.seed, 0, STREAM_CERT) if rng is None else rng
     samples = cfg.n0 + cfg.n_cert
     counts0, counts = vote_counts(c, x, scale, samples, rng, kind, split=cfg.n0)
     candidate = int(counts0.argmax())

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, and file outputs."""
 
+import csv
 import functools
 import json
 import os
@@ -17,7 +18,7 @@ from smoothcert.classifiers import (ClassifierHandle,
                                     probit_halfspace_classifier, save_classifier)
 from smoothcert.cli import cli_main
 from smoothcert.pipeline import CampaignConfig
-from smoothcert.sigma_opt import SigmaOptConfig
+from smoothcert.sigma_opt import RETURN_BEST_ITERATE, RETURN_FAITHFUL, SigmaOptConfig
 from smoothcert.smoothing import GaussianCertConfig
 from smoothcert.synthetic import make_two_clusters, save_dataset_csv
 
@@ -530,6 +531,45 @@ class TestOptimizeSigma:
         assert sigmas[0] == 2.0 and max(sigmas) <= 2.0
         assert float(lines[-1].split()[0].split("=")[1]) <= 2.0
 
+    @pytest.mark.parametrize("seed", [5, 2**40 + 3])
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("mode", [RETURN_FAITHFUL, RETURN_BEST_ITERATE])
+    def test_sigma_star_is_the_one_a_one_row_campaign_certifies(self, workspace, capsys,
+                                                                seed, n, mode):
+        tmp, data, clf = workspace
+        row = data.read_text().splitlines()[0]
+        (tmp / "one.csv").write_text(row + "\n")
+        flags = ["--sigma0", "0.25", "--iters", "10", "--alpha-step", "0.05",
+                 "--n", str(n), "--return-mode", mode, "--seed", str(seed)]
+        assert cli_main(["certify", "--mode", "ds", "--n-cert", "1000",
+                         "--dataset", str(tmp / "one.csv"), "--classifier", str(clf),
+                         "--out", str(tmp / "r.csv"), *flags]) == 0
+        with open(tmp / "r.csv", newline="") as fh:
+            (record,) = csv.DictReader(fh)
+        capsys.readouterr()
+        point = row.rsplit(",", 1)[0]
+        assert cli_main(["optimize-sigma", "--classifier", str(clf),
+                         f"--point={point}", *flags]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.split()[0] == f"sigma_star={record['sigma_star']}"
+
+    def test_point_with_a_negative_first_coordinate_parses_in_the_equals_form(
+            self, workspace, monkeypatch, capsys):
+        _, _, clf = workspace
+        points, optimize_sigma = [], cli.optimize_sigma
+
+        def record(c, x, *args):
+            points.append(x.tolist())
+            return optimize_sigma(c, x, *args)
+
+        monkeypatch.setattr(cli, "optimize_sigma", record)
+        args = ["optimize-sigma", "--classifier", str(clf), "--sigma0", "0.25", "--iters", "2"]
+        assert cli_main(args + ["--point=-2.5,0.4"]) == 0
+        assert points == [[-2.5, 0.4]]
+        assert capsys.readouterr().out.startswith("iter,sigma,proxy_radius,top_class\n")
+        assert cli_main(args + ["--point", "-2.5,0.4"]) == 2  # read as a flag, not a value
+        assert "--point: expected one argument" in capsys.readouterr().err
+
     def test_point_of_the_wrong_dimension_is_runtime_error(self, workspace, capsys):
         _, _, clf = workspace
         code = cli_main(["optimize-sigma", "--classifier", str(clf),
@@ -606,6 +646,22 @@ class TestTrainDemo:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("target,problem", [
+        ("missing/x.json", "the directory of {} does not exist"),
+        ("outdir", "{} is a directory")], ids=["missing_directory", "directory"])
+    def test_unwritable_out_json_fails_before_training(self, monkeypatch, tmp_path,
+                                                        capsys, target, problem):
+        monkeypatch.setattr(pipeline, "train_batch", no_work)
+        (tmp_path / "outdir").mkdir()
+        before = snapshot(tmp_path)
+        out = tmp_path / target
+        assert cli_main(["train-demo", "--epochs", "1", "--n-train", "4", "--n-test", "2",
+                         "--n-cert", "100", "--out-json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out-json: {problem.format(out)}\n"
+        assert snapshot(tmp_path) == before
 
 
 class TestSeedRange:

@@ -118,6 +118,13 @@ class TestSeeding:
             assert got.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(got.standard_normal(7).view(np.int64),
                                   ref.standard_normal(7).view(np.int64))
+        rngs = smoothing.row_rngs(seed, 4, stream)
+        assert len(rngs) == 4 and smoothing.row_rngs(seed, 0, stream) == []
+        for i, got in enumerate(rngs):
+            ref = rng_for_input(seed, i, stream)
+            assert got.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(got.standard_normal(7).view(np.int64),
+                                  ref.standard_normal(7).view(np.int64))
 
     def test_seed_words_of_no_rows(self):
         assert smoothing._seed_words(3, [], 0).shape == (0, 4)
