@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``certify`` runs a certification campaign over a dataset CSV,
-``optimize-sigma`` prints the scale-ascent trace for one input,
+``optimize-sigma`` replays one row of a finished campaign from its metrics JSON
+(the scale-ascent trace, then the certification before the memory step),
 ``train-demo`` trains the built-in perceptron on synthetic data and compares
 data-dependent against fixed-scale certification, and ``report`` recomputes
 metrics from an existing results CSV. Exit codes: 0 success, 1 runtime
@@ -19,14 +20,12 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .pipeline import (DEFAULT_RADII, MODE_DS, MODE_DS_L1, MODE_FIXED,
                        CampaignConfig, checked_radii_grid, metrics_from_records,
-                       read_report_csv, run_campaign, run_training_demo)
+                       read_report_csv, replay_row, run_campaign, run_training_demo)
 from .sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD, RETURN_BEST_ITERATE,
-                        RETURN_FAITHFUL, SigmaOptConfig, optimize_sigma)
-from .smoothing import STREAM_OPT, GaussianCertConfig, draw_noise, rng_for_input
+                        RETURN_FAITHFUL, SigmaOptConfig)
+from .smoothing import GaussianCertConfig
 
 __all__ = ["build_parser", "cli_main", "main"]
 
@@ -43,29 +42,6 @@ def _seed(args, count: int = 1) -> int:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return first
-
-
-def _add_cert_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma0", type=float, required=True,
-                   help="fixed noise scale, or the starting scale in ds modes")
-    p.add_argument("--n0", type=int, help="selection samples")
-    p.add_argument("--n-cert", type=int, help="estimation samples")
-    p.add_argument("--alpha-fail", type=float, help="certification failure probability")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed (default: CERTSMOOTH_SEED or 0)")
-
-
-def _add_opt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha-step", dest="step_alpha", metavar="ALPHA_STEP", type=float,
-                   help="ascent step size")
-    p.add_argument("--iters", dest="iters_k", metavar="ITERS", type=int,
-                   help="ascent iterations")
-    p.add_argument("--n", dest="n_samples", metavar="N", type=int,
-                   help="noise samples per objective value")
-    p.add_argument("--sigma-min", type=float)
-    p.add_argument("--sigma-max", type=float)
-    p.add_argument("--grad-mode", choices=[GRAD_ANALYTIC, GRAD_SCALAR_FD])
-    p.add_argument("--return-mode", choices=[RETURN_FAITHFUL, RETURN_BEST_ITERATE])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,18 +62,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--memory-out", default=None, help="write memory JSONL")
     p_cert.add_argument("--radii", default=None,
                         help="comma-separated certified-accuracy grid (starts at 0)")
-    _add_cert_flags(p_cert)
-    _add_opt_flags(p_cert)
+    p_cert.add_argument("--sigma0", type=float, required=True,
+                        help="fixed noise scale, or the starting scale in ds modes")
+    p_cert.add_argument("--n0", type=int, help="selection samples")
+    p_cert.add_argument("--n-cert", type=int, help="estimation samples")
+    p_cert.add_argument("--alpha-fail", type=float, help="certification failure probability")
+    p_cert.add_argument("--seed", type=int, default=None,
+                        help="base seed (default: CERTSMOOTH_SEED or 0)")
+    p_cert.add_argument("--alpha-step", dest="step_alpha", metavar="ALPHA_STEP", type=float,
+                        help="ascent step size")
+    p_cert.add_argument("--iters", dest="iters_k", metavar="ITERS", type=int,
+                        help="ascent iterations")
+    p_cert.add_argument("--n", dest="n_samples", metavar="N", type=int,
+                        help="noise samples per objective value")
+    p_cert.add_argument("--sigma-min", type=float)
+    p_cert.add_argument("--sigma-max", type=float)
+    p_cert.add_argument("--grad-mode", choices=[GRAD_ANALYTIC, GRAD_SCALAR_FD])
+    p_cert.add_argument("--return-mode", choices=[RETURN_FAITHFUL, RETURN_BEST_ITERATE])
 
-    p_opt = sub.add_parser("optimize-sigma",
-                           help="print the scale-ascent trace for one input")
-    p_opt.add_argument("--classifier", required=True)
-    p_opt.add_argument("--point", required=True,
-                       help="comma-separated input coordinates; write --point=-1,2 "
-                            "when the first one is negative")
-    p_opt.add_argument("--seed", type=int, default=None)
-    p_opt.add_argument("--sigma0", type=float, required=True)
-    _add_opt_flags(p_opt)
+    p_opt = sub.add_parser("optimize-sigma", help="replay one row of a finished campaign")
+    p_opt.add_argument("--metrics", required=True, help="the campaign's metrics JSON")
+    p_opt.add_argument("--row", type=int, required=True, help="row index in its dataset")
 
     p_demo = sub.add_parser("train-demo",
                             help="train on synthetic annuli and compare "
@@ -116,16 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _floats(text: str, flag: str) -> tuple[float, ...]:
-    """Comma-separated floats; an entry that does not parse is named by its flag."""
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def _parse_radii(text: str | None) -> tuple[float, ...]:
-    return DEFAULT_RADII if text is None else _floats(text, "--radii")
+    """Comma-separated floats; an entry that does not parse is named by the flag."""
+    try:
+        return DEFAULT_RADII if text is None else tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--radii: {exc}") from None
 
 
 def _given(fn, args, **values):
@@ -180,20 +161,28 @@ def _cmd_certify(args) -> int:
 
 def _cmd_optimize_sigma(args) -> int:
     from .classifiers import load_classifier  # looked up at call time, as in certify
+    from .pipeline import load_dataset
 
-    seed = _seed(args)
-    x = np.array(_floats(args.point, "--point"))
-    c = load_classifier(args.classifier)
-    if x.size != c.dim:
-        raise ValueError(f"--point has {x.size} coordinates, the classifier takes {c.dim}")
-    cfg = _given(SigmaOptConfig, args)
-    # row 0's ascent stream, so sigma* is the one a one-row ds campaign certifies
-    noise = draw_noise(rng_for_input(seed, 0, STREAM_OPT), cfg.n_samples, c.dim)
-    sigma_star, trace = optimize_sigma(c, x, cfg, noise, args.sigma0)
-    print("iter,sigma,proxy_radius,top_class")
-    for e in trace:
-        print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")
-    print(f"sigma_star={sigma_star!r} class_flips={trace.class_flips()}")
+    with open(args.metrics, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    try:
+        config = payload["config"]
+        cfg = CampaignConfig(config["mode"], config["sigma0"], GaussianCertConfig(**config["cert"]),
+                             SigmaOptConfig(**config["opt"]), config["radii_grid"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"--metrics: {args.metrics} holds no campaign config ({exc!r})") from None
+    for key in ("dataset", "classifier"):
+        if not os.path.isfile(config.get(key, "")):
+            raise ValueError(f"--metrics: the campaign's {key} {config.get(key)} is not a file")
+    scale, trace, out = replay_row(cfg, load_dataset(config["dataset"]),
+                                   load_classifier(config["classifier"]), args.row)
+    if trace is not None:
+        print("iter,sigma,proxy_radius,top_class")
+        for e in trace:
+            print(f"{e.iteration},{e.sigma!r},{e.proxy_radius!r},{e.top_class}")
+        print(f"sigma_star={scale!r} class_flips={trace.class_flips()}")
+    prediction = "ABSTAIN" if out.abstained else out.prediction
+    print(f"prediction={prediction} p_lower={out.p_lower!r} radius={out.radius!r}")
     return 0
 
 

@@ -27,10 +27,10 @@ import numpy as np
 from .classifiers import ClassifierHandle
 from .memory import (NORM_L1, NORM_L2, CertifiedRegion, MemoryStore,
                      memory_insert, save_memory)
-from .sigma_opt import RETURN_BEST_ITERATE, SigmaOptConfig, optimize_sigma
+from .sigma_opt import RETURN_BEST_ITERATE, SigmaOptConfig, SigmaTrace, optimize_sigma
 from .smoothing import (_VOTE_BATCH, ABSTAIN, NOISE_GAUSSIAN, NOISE_UNIFORM, STREAM_CERT,
-                        STREAM_OPT, GaussianCertConfig, NoiseBatch, certify_l1,
-                        certify_l2, draw_noise, row_rngs)
+                        STREAM_OPT, CertificationOutcome, GaussianCertConfig, NoiseBatch,
+                        certify_l1, certify_l2, draw_noise, rng_for_input, row_rngs)
 
 __all__ = [
     "MODE_FIXED",
@@ -42,6 +42,7 @@ __all__ = [
     "CertRecord",
     "load_dataset",
     "run_campaign",
+    "replay_row",
     "train_batch",
     "run_training_demo",
     "GaussianAugmentationTrainer",
@@ -195,9 +196,10 @@ class CertRecord:
         return self.prediction == self.label
 
 
-def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig,
-                   kind: str) -> np.ndarray:
-    """Optimized scale of every row, one ``optimize_sigma`` call per block.
+def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig, kind: str,
+                   row: int | None = None):
+    """Optimized scale of every row, one ``optimize_sigma`` call per block; with
+    ``row``, only its block runs and the result is the row's (sigma*, SigmaTrace).
 
     An iterate scores at most three scales of n draws per row: blocks of
     _ASCENT_POINTS // (3 n) rows keep a classifier call within that bound
@@ -207,12 +209,22 @@ def _ascent_scales(c, dataset: LabeledDataset, cfg: CampaignConfig,
     block = max(1, _ASCENT_POINTS // (3 * n))
     rngs = row_rngs(cfg.cert.seed, len(dataset), STREAM_OPT)
     scales = np.empty(len(dataset))
-    for start in range(0, len(dataset), block):
+    for start in range(0, len(dataset), block) if row is None else [row - row % block]:
         stop = min(start + block, len(dataset))
         draws = np.stack([draw_noise(rng, n, c.dim, kind).draws for rng in rngs[start:stop]])
-        scales[start:stop], _ = optimize_sigma(
+        scales[start:stop], traces = optimize_sigma(
             c, dataset.points[start:stop], cfg.opt, NoiseBatch(kind, draws), cfg.sigma0)
-    return scales
+    return scales if row is None else (float(scales[row]), traces[row - start])
+
+
+def _check_fit(dataset: LabeledDataset, classifier: ClassifierHandle) -> None:
+    """Refuse a dataset whose dimension or labels the classifier does not have."""
+    if len(dataset) and dataset.dim != classifier.dim:
+        raise ValueError(f"dataset dim {dataset.dim} does not match classifier "
+                         f"dim {classifier.dim}")
+    if (bad := np.flatnonzero(dataset.labels >= classifier.num_classes)).size:
+        raise ValueError(f"row {bad[0]}: label {dataset.labels[bad[0]]} is not a "
+                         f"class of the {classifier.num_classes}-class classifier")
 
 
 def _cpu_count() -> int:
@@ -232,18 +244,14 @@ def run_campaign(cfg: CampaignConfig, dataset: LabeledDataset,
     are certified, on up to one thread per CPU and 2^16 vote points in flight,
     before the ds regions go into the memory (a new empty one by default) in
     dataset order, recording any adjustment the memory forced on the
-    prediction or radius. A dataset or memory that does not fit the classifier
+    prediction or radius. An abstention certifies no region, so it is stored and
+    compared with nothing: inside a stored region too, it reports ABSTAIN at
+    radius 0, unadjusted. A dataset or memory that does not fit the classifier
     or mode is rejected before any work.
     """
     if memory is None:
         memory = MemoryStore()
-    if len(dataset) and dataset.dim != classifier.dim:
-        raise ValueError(f"dataset dim {dataset.dim} does not match classifier "
-                         f"dim {classifier.dim}")
-    bad = np.flatnonzero(dataset.labels >= classifier.num_classes)
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: label {dataset.labels[bad[0]]} is not a "
-                         f"class of the {classifier.num_classes}-class classifier")
+    _check_fit(dataset, classifier)
     kind, norm = _MODES[cfg.mode]
     if cfg.mode != MODE_FIXED and len(memory) and len(dataset):
         if (memory.norm, memory.dim) != (norm, dataset.dim):
@@ -276,6 +284,22 @@ def run_campaign(cfg: CampaignConfig, dataset: LabeledDataset,
     metrics = metrics_from_records(records, cfg.radii_grid,
                                    overlap_events=memory.overlap_events)
     return records, memory, metrics
+
+
+def replay_row(cfg: CampaignConfig, dataset: LabeledDataset, classifier: ClassifierHandle,
+               i: int) -> tuple[float, SigmaTrace | None, CertificationOutcome]:
+    """Row ``i`` of ``run_campaign(cfg, dataset, classifier)`` bit for bit: re-run its
+    whole ascent block, then its certification. Returns its scale, its ``SigmaTrace``
+    (None in fixed mode) and its outcome before the memory step."""
+    _check_fit(dataset, classifier)
+    if not 0 <= i < len(dataset):
+        raise ValueError(f"row {i} lies outside the campaign's {len(dataset)} rows")
+    kind, _ = _MODES[cfg.mode]
+    scale, trace = ((cfg.sigma0, None) if cfg.mode == MODE_FIXED
+                    else _ascent_scales(classifier, dataset, cfg, kind, row=i))
+    certify = certify_l1 if kind == NOISE_UNIFORM else certify_l2
+    return scale, trace, certify(classifier, dataset.points[i], scale, cfg.cert,
+                                 rng_for_input(cfg.cert.seed, i, STREAM_CERT))
 
 
 # ---------------------------------------------------------------------------

@@ -487,8 +487,7 @@ class TestReport:
 
 
 @pytest.mark.parametrize("command,flag,bad", [
-    ("certify", "--radii", "0,abc"), ("report", "--radii", "0,x"),
-    ("optimize-sigma", "--point", "1.0,x")])
+    ("certify", "--radii", "0,abc"), ("report", "--radii", "0,x")])
 def test_list_that_does_not_parse_names_its_flag(workspace, monkeypatch, capsys,
                                                  command, flag, bad):
     tmp, data, clf = workspace
@@ -496,9 +495,7 @@ def test_list_that_does_not_parse_names_its_flag(workspace, monkeypatch, capsys,
     before = snapshot(tmp)
     monkeypatch.setattr(classifiers, "load_classifier", no_work)
     args = {"certify": certify_args(data, clf, tmp / "out.csv"),
-            "report": ["report", "--in", str(tmp / "r.csv")],
-            "optimize-sigma": ["optimize-sigma", "--classifier", str(clf),
-                               "--sigma0", "0.25"]}[command]
+            "report": ["report", "--in", str(tmp / "r.csv")]}[command]
     assert cli_main(args + [flag, bad]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -507,77 +504,119 @@ def test_list_that_does_not_parse_names_its_flag(workspace, monkeypatch, capsys,
     assert snapshot(tmp) == before
 
 
+def finish_campaign(tmp, data, clf, mode="ds", flags=()):
+    """Run ``certify`` to results.csv; return its rows as dicts and its metrics path."""
+    out = tmp / "results.csv"
+    assert cli_main(["certify", "--mode", mode, "--n-cert", "1000", "--sigma0", "0.25",
+                     "--dataset", str(data), "--classifier", str(clf), "--out", str(out),
+                     *flags]) == 0
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh)), tmp / "results.csv.metrics.json"
+
+
+def replay(capsys, metrics, row):
+    """``optimize-sigma --metrics M --row R``: its exit code, stdout and stderr."""
+    capsys.readouterr()
+    code = cli_main(["optimize-sigma", "--metrics", str(metrics), "--row", str(row)])
+    return code, *capsys.readouterr()
+
+
 class TestOptimizeSigma:
-    def test_prints_trace(self, workspace, capsys):
-        _, _, clf = workspace
-        code = cli_main(["optimize-sigma", "--classifier", str(clf),
-                         "--point", "1.0,0.0", "--sigma0", "0.25",
-                         "--iters", "5", "--n", "64", "--seed", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert lines[0] == "iter,sigma,proxy_radius,top_class"
-        assert len(lines) == 1 + 6 + 1  # header, K+1 rows, summary
-        assert lines[-1].startswith("sigma_star=")
-
-    def test_start_outside_the_bounds_is_projected(self, workspace, capsys):
-        _, _, clf = workspace
-        code = cli_main(["optimize-sigma", "--classifier", str(clf),
-                         "--point", "1.0,0.0", "--sigma0", "3.0",
-                         "--iters", "5", "--n", "64", "--seed", "2"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        sigmas = [float(line.split(",")[1]) for line in lines[1:-1]]
-        assert sigmas[0] == 2.0 and max(sigmas) <= 2.0
-        assert float(lines[-1].split()[0].split("=")[1]) <= 2.0
-
-    @pytest.mark.parametrize("seed", [5, 2**40 + 3])
-    @pytest.mark.parametrize("n", [1, 32])
-    @pytest.mark.parametrize("mode", [RETURN_FAITHFUL, RETURN_BEST_ITERATE])
-    def test_sigma_star_is_the_one_a_one_row_campaign_certifies(self, workspace, capsys,
-                                                                seed, n, mode):
+    def test_prints_trace_then_certification(self, workspace, capsys):
         tmp, data, clf = workspace
-        row = data.read_text().splitlines()[0]
-        (tmp / "one.csv").write_text(row + "\n")
-        flags = ["--sigma0", "0.25", "--iters", "10", "--alpha-step", "0.05",
-                 "--n", str(n), "--return-mode", mode, "--seed", str(seed)]
-        assert cli_main(["certify", "--mode", "ds", "--n-cert", "1000",
-                         "--dataset", str(tmp / "one.csv"), "--classifier", str(clf),
-                         "--out", str(tmp / "r.csv"), *flags]) == 0
-        with open(tmp / "r.csv", newline="") as fh:
-            (record,) = csv.DictReader(fh)
-        capsys.readouterr()
-        point = row.rsplit(",", 1)[0]
-        assert cli_main(["optimize-sigma", "--classifier", str(clf),
-                         f"--point={point}", *flags]) == 0
-        summary = capsys.readouterr().out.splitlines()[-1]
-        assert summary.split()[0] == f"sigma_star={record['sigma_star']}"
+        _, metrics = finish_campaign(tmp, data, clf, flags=["--iters", "5", "--n", "64"])
+        code, out, _ = replay(capsys, metrics, 0)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "iter,sigma,proxy_radius,top_class"
+        assert len(lines) == 1 + 6 + 2  # header, K+1 rows, sigma_star, certification
+        assert lines[-2].startswith("sigma_star=") and "class_flips=" in lines[-2]
+        assert lines[-1].startswith("prediction=") and "p_lower=" in lines[-1]
 
-    def test_point_with_a_negative_first_coordinate_parses_in_the_equals_form(
-            self, workspace, monkeypatch, capsys):
-        _, _, clf = workspace
-        points, optimize_sigma = [], cli.optimize_sigma
+    def test_fixed_mode_row_prints_only_the_certification(self, workspace, capsys):
+        tmp, data, clf = workspace
+        records, metrics = finish_campaign(tmp, data, clf, "fixed", ["--seed", "4"])
+        r = records[3]
+        assert replay(capsys, metrics, 3) == (
+            0, f"prediction={r['prediction']} p_lower={r['p_lower']} radius={r['radius']}\n", "")
 
-        def record(c, x, *args):
-            points.append(x.tolist())
-            return optimize_sigma(c, x, *args)
+    @pytest.mark.parametrize("mode", ["ds", "ds_l1"])
+    @pytest.mark.parametrize("n,rows", [(1, (0, 7)), (4096, (0, 4, 5, 7))],
+                             ids=["one_block", "two_blocks"])
+    @pytest.mark.parametrize("seed,return_mode", [(5, RETURN_FAITHFUL),
+                                                  (2**64 - 1, RETURN_BEST_ITERATE)])
+    def test_replay_equals_the_csv(self, workspace, capsys, mode, n, rows, seed, return_mode):
+        # 8 rows; at n=4096 an ascent call holds 65536 // (3 * 4096) = 5 rows,
+        # so rows 0 and 4, then 5 and 7, open and close the two calls
+        tmp, data, clf = workspace
+        records, metrics = finish_campaign(tmp, data, clf, mode, [
+            "--iters", "10", "--alpha-step", "0.05", "--n", str(n),
+            "--return-mode", return_mode, "--seed", str(seed)])
+        for row in rows:
+            r = records[row]
+            assert r["adjusted_by_memory"] == "0"
+            code, out, err = replay(capsys, metrics, row)
+            assert (code, err) == (0, "")
+            summary, certification = out.splitlines()[-2:]
+            assert summary.split()[0] == f"sigma_star={r['sigma_star']}"
+            assert certification == (f"prediction={r['prediction']} p_lower={r['p_lower']} "
+                                      f"radius={r['radius']}")
 
-        monkeypatch.setattr(cli, "optimize_sigma", record)
-        args = ["optimize-sigma", "--classifier", str(clf), "--sigma0", "0.25", "--iters", "2"]
-        assert cli_main(args + ["--point=-2.5,0.4"]) == 0
-        assert points == [[-2.5, 0.4]]
-        assert capsys.readouterr().out.startswith("iter,sigma,proxy_radius,top_class\n")
-        assert cli_main(args + ["--point", "-2.5,0.4"]) == 2  # read as a flag, not a value
-        assert "--point: expected one argument" in capsys.readouterr().err
 
-    def test_point_of_the_wrong_dimension_is_runtime_error(self, workspace, capsys):
-        _, _, clf = workspace
-        code = cli_main(["optimize-sigma", "--classifier", str(clf),
-                         "--point", "1.0,0.0,0.0", "--sigma0", "0.25"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --point has 3 coordinates, the classifier takes 2\n"
+class TestOptimizeSigmaErrors:
+    """A replay that cannot run exits 1 with a named error before any classifier call."""
+
+    @pytest.fixture
+    def finished(self, workspace, monkeypatch):
+        tmp, data, clf = workspace
+        _, metrics = finish_campaign(tmp, data, clf, flags=["--iters", "2"])
+        load = classifiers.load_classifier
+
+        def uncallable(path):  # the classifier the campaign names, but it does no work
+            c = load(path)
+            return ClassifierHandle(c.kind, c.dim, c.num_classes, no_work)
+
+        monkeypatch.setattr(classifiers, "load_classifier", uncallable)
+        return tmp, data, clf, metrics
+
+    def edit_config(self, metrics, edit):
+        payload = json.loads(metrics.read_text())
+        edit(payload)
+        metrics.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("key", ["dataset", "classifier"])
+    def test_input_that_no_longer_resolves(self, finished, capsys, key):
+        tmp, data, clf, metrics = finished
+        gone = {"dataset": data, "classifier": clf}[key]
+        gone.rename(tmp / "moved")
+        assert replay(capsys, metrics, 0) == (
+            1, "", f"error: --metrics: the campaign's {key} {gone} is not a file\n")
+
+    @pytest.mark.parametrize("edit,shown", [
+        (lambda payload: payload.pop("config"), "KeyError('config')"),
+        (lambda payload: payload["config"].pop("mode"), "KeyError('mode')"),
+        (lambda payload: payload["config"]["cert"].update(sigma=0.25),
+         "got an unexpected keyword argument 'sigma'")],
+        ids=["no_config_block", "no_mode", "unknown_budget_key"])
+    def test_metrics_without_a_campaign_config(self, finished, capsys, edit, shown):
+        _, _, _, metrics = finished
+        self.edit_config(metrics, edit)
+        code, out, err = replay(capsys, metrics, 0)
+        assert (code, out) == (1, "") and shown in err
+        assert err.startswith(f"error: --metrics: {metrics} holds no campaign config (")
+
+    @pytest.mark.parametrize("row", [-1, 8])
+    def test_row_outside_the_campaign(self, finished, capsys, row):
+        _, _, _, metrics = finished
+        assert replay(capsys, metrics, row) == (
+            1, "", f"error: row {row} lies outside the campaign's 8 rows\n")
+
+    def test_classifier_of_another_dimension(self, finished, capsys):
+        tmp, _, _, metrics = finished
+        wide = tmp / "wide.json"
+        save_classifier(probit_halfspace_classifier([1.0, 0.0, 0.0], 0.0, 0.5), wide)
+        self.edit_config(metrics, lambda payload: payload["config"].update(classifier=str(wide)))
+        assert replay(capsys, metrics, 0) == (
+            1, "", "error: dataset dim 2 does not match classifier dim 3\n")
 
 
 class TestTrainDemo:
@@ -670,17 +709,15 @@ class TestSeedRange:
         def ran(*args, **kwargs):
             raise AssertionError("work ran")
 
-        for name in ("run_campaign", "run_training_demo", "optimize_sigma"):
+        for name in ("run_campaign", "run_training_demo"):
             monkeypatch.setattr(cli, name, ran)
 
     def command_args(self, command, data, clf, out):
         return {"certify": certify_args(data, clf, out),
-                "optimize-sigma": ["optimize-sigma", "--classifier", str(clf),
-                                   "--point", "1.0,0.0", "--sigma0", "0.25"],
                 "train-demo": ["train-demo", "--epochs", "1", "--out-json", str(out)],
                 }[command]
 
-    @pytest.mark.parametrize("command", ["certify", "optimize-sigma", "train-demo"])
+    @pytest.mark.parametrize("command", ["certify", "train-demo"])
     @pytest.mark.parametrize("flag,env,shown", [
         (["--seed", "-1"], None, -1), (["--seed", str(2**64)], None, 2**64),
         ([], "-5", -5)], ids=["minus_one", "two_to_the_64", "env_minus_five"])
@@ -698,7 +735,7 @@ class TestSeedRange:
         assert f"seed must lie in [0, 2**64), got {shown}" in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["certify", "optimize-sigma", "train-demo"])
+    @pytest.mark.parametrize("command", ["certify", "train-demo"])
     @pytest.mark.parametrize("env", ["abc", "1.5", ""])
     def test_env_seed_that_is_not_an_integer_is_named(self, workspace, monkeypatch,
                                                       capsys, no_work, command, env):
@@ -715,8 +752,8 @@ class TestSeedRange:
     def test_seed_flag_wins_over_a_bad_env_seed(self, workspace, monkeypatch, capsys):
         tmp, data, clf = workspace
         monkeypatch.setenv("CERTSMOOTH_SEED", "abc")
-        args = self.command_args("optimize-sigma", data, clf, tmp / "out")
-        assert cli_main(args + ["--iters", "2", "--n", "8", "--seed", "3"]) == 0
+        args = self.command_args("certify", data, clf, tmp / "out")
+        assert cli_main(args + ["--iters", "2", "--seed", "3"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_last_demo_seed_outside_the_range_fails_before_training(self, workspace,
@@ -732,9 +769,11 @@ class TestSeedRange:
 
     def test_largest_seed_runs(self, workspace, capsys):
         tmp, data, clf = workspace
-        args = self.command_args("optimize-sigma", data, clf, tmp / "out")
-        assert cli_main(args + ["--iters", "2", "--n", "8", "--seed", str(2**64 - 1)]) == 0
-        assert capsys.readouterr().out.startswith("iter,sigma,proxy_radius,top_class\n")
+        args = self.command_args("certify", data, clf, tmp / "out")
+        assert cli_main(args + ["--iters", "2", "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().out.startswith("certified 8 inputs: ")
+        metrics = json.loads((tmp / "out.metrics.json").read_text())
+        assert metrics["config"]["cert"]["seed"] == 2**64 - 1
 
 
 def test_python_dash_m_runs_cli_main(workspace, capsys):

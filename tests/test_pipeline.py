@@ -355,6 +355,86 @@ class TestRunCampaign:
             assert r.radius >= 0.0
         assert all(reg.norm == "l1" for reg in store.regions)
 
+    @pytest.mark.parametrize("mode,norm", [(MODE_DS, "l2"), (MODE_DS_L1, "l1")])
+    def test_row_that_abstains_inside_a_stored_region_stays_abstain(self, mode, norm):
+        # today's rule: an abstention certifies no region, so it is neither
+        # stored nor compared with the memory, even at a stored region's center
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        ds = LabeledDataset(np.zeros((1, 2)), np.array([0]))  # on the boundary: p_A = 1/2
+        store = MemoryStore()
+        memory_insert(store, CertifiedRegion((0.0, 0.0), 1.0, 0, 0.25, norm))
+        before = copy.deepcopy(store)
+        (record,), after, metrics = run_campaign(self._cfg(mode, iters=0, n_cert=2000),
+                                                 dataset=ds, classifier=c, memory=store)
+        assert (record.prediction, record.radius, record.adjusted) == (ABSTAIN, 0.0, False)
+        assert not record.correct and metrics.acr == 0.0
+        assert after.regions == before.regions and after.overlap_events == 0
+
+
+class TestReplayRow:
+    def _cfg(self, mode, n=4, **opt_kw):
+        return CampaignConfig(mode=mode, sigma0=0.25,
+                              cert=GaussianCertConfig(n0=20, n_cert=300, seed=3),
+                              opt=SigmaOptConfig(step_alpha=0.05, iters_k=6, n_samples=n,
+                                                 **opt_kw))
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_DS, MODE_DS_L1])
+    @pytest.mark.parametrize("return_mode", ["faithful", "best_iterate"])
+    def test_every_row_equals_the_campaign_across_blocks(self, mode, return_mode):
+        # 4096 draws per row: rows 0-4 and 5-9 share their ascent calls
+        ds, c = probit_setup(n=10, seed=12)
+        cfg = self._cfg(mode, n=4096, return_mode=return_mode)
+        records, _, _ = run_campaign(cfg, dataset=ds, classifier=c)
+        for i, record in enumerate(records):
+            scale, trace, out = pipeline.replay_row(cfg, ds, c, i)
+            assert scale == record.sigma_star and type(scale) is float
+            assert (trace is None) == (mode == MODE_FIXED)
+            if trace is not None and return_mode == "faithful":
+                assert trace[-1].sigma == scale
+            assert out.p_lower == record.p_lower
+            if not record.adjusted:
+                assert (out.prediction, out.radius) == (record.prediction, record.radius)
+
+    @pytest.mark.parametrize("mode", [MODE_DS, MODE_DS_L1])
+    @pytest.mark.parametrize("points", [None, 3 * 7], ids=["one_block", "blocks_of_7"])
+    def test_rows_whose_rounding_depends_on_the_block_equal_the_campaign(
+            self, monkeypatch, mode, points):
+        # a d=16 MLP's small matmuls round with the rows that share the call, so
+        # at n=1 only a replay of the row's own block, here all 40 rows or 7
+        # of them, gives the campaign's scales bit for bit
+        if points:
+            monkeypatch.setattr(pipeline, "_ASCENT_POINTS", points)
+            monkeypatch.setattr(pipeline, "_VOTE_BATCH", 1)  # sizes the vote pool only
+        rng = np.random.default_rng(1)
+        c = mlp_classifier(TinyMLP(16, 32, 3, rng=rng))
+        xs = rng.normal(size=(40, 16))
+        ds = LabeledDataset(xs, c.probs(xs).argmax(axis=1))
+        cfg = self._cfg(mode, n=1, return_mode="best_iterate")
+        records, _, _ = run_campaign(cfg, dataset=ds, classifier=c)
+        assert [pipeline.replay_row(cfg, ds, c, i)[0] for i in range(len(ds))] == [
+            r.sigma_star for r in records]
+
+    @pytest.mark.parametrize("row", [-1, 6])
+    def test_row_outside_the_dataset_rejected_before_work(self, row):
+        ds, c = probit_setup(n=6, seed=2)
+        c, calls = sizes_of_calls(c)
+        with pytest.raises(ValueError, match=f"row {row} lies outside the campaign's 6 rows"):
+            pipeline.replay_row(self._cfg(MODE_DS), ds, c, row)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_DS])
+    def test_what_run_campaign_refuses_is_refused(self, mode):
+        ds, c = probit_setup(n=6, seed=2)
+        c, calls = sizes_of_calls(c)
+        labels = ds.labels.copy()
+        labels[4] = 5
+        with pytest.raises(ValueError, match="row 4: label 5"):
+            pipeline.replay_row(self._cfg(mode), LabeledDataset(ds.points, labels), c, 0)
+        wide = LabeledDataset(np.zeros((2, 3)), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="dataset dim 3 does not match classifier dim 2"):
+            pipeline.replay_row(self._cfg(mode), wide, c, 0)
+        assert calls == []
+
 
 def prior_memory(ds, norm):
     """Prediction-0 regions on the positive side of the probit boundary: one
