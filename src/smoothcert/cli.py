@@ -23,8 +23,7 @@ from dataclasses import asdict
 from .pipeline import (DEFAULT_RADII, MODE_DS, MODE_DS_L1, MODE_FIXED,
                        CampaignConfig, checked_radii_grid, metrics_from_records,
                        read_report_csv, replay_row, run_campaign, run_training_demo)
-from .sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD, RETURN_BEST_ITERATE,
-                        RETURN_FAITHFUL, SigmaOptConfig)
+from .sigma_opt import RETURN_BEST_ITERATE, RETURN_FAITHFUL, SigmaOptConfig
 from .smoothing import GaussianCertConfig
 
 __all__ = ["build_parser", "cli_main", "main"]
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="noise samples per objective value")
     p_cert.add_argument("--sigma-min", type=float)
     p_cert.add_argument("--sigma-max", type=float)
-    p_cert.add_argument("--grad-mode", choices=[GRAD_ANALYTIC, GRAD_SCALAR_FD])
     p_cert.add_argument("--return-mode", choices=[RETURN_FAITHFUL, RETURN_BEST_ITERATE])
 
     p_opt = sub.add_parser("optimize-sigma", help="replay one row of a finished campaign")
@@ -150,7 +148,8 @@ def _cmd_certify(args) -> int:
     classifier = load_classifier(args.classifier)
     memory = load_memory(args.memory_in) if args.memory_in else None
     records, memory, metrics = run_campaign(cfg, dataset, classifier, memory)
-    config = asdict(cfg) | {"dataset": args.dataset, "classifier": args.classifier}
+    config = asdict(cfg) | {"dataset": os.path.abspath(args.dataset),
+                            "classifier": os.path.abspath(args.classifier)}
     emit_report(records, metrics, args.out, metrics_out, config_echo=config,
                 memory=memory, memory_path=args.memory_out)
     print(f"certified {metrics.n_inputs} inputs: ACR={metrics.acr:.6f} "
@@ -171,8 +170,8 @@ def _cmd_optimize_sigma(args) -> int:
                              SigmaOptConfig(**config["opt"]), config["radii_grid"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"--metrics: {args.metrics} holds no campaign config ({exc!r})") from None
-    for key in ("dataset", "classifier"):
-        if not os.path.isfile(config.get(key, "")):
+    for key in ("dataset", "classifier"):  # a path, not a descriptor number or a bool
+        if not isinstance(config.get(key), str) or not os.path.isfile(config[key]):
             raise ValueError(f"--metrics: the campaign's {key} {config.get(key)} is not a file")
     scale, trace, out = replay_row(cfg, load_dataset(config["dataset"]),
                                    load_classifier(config["classifier"]), args.row)

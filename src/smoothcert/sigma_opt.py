@@ -2,8 +2,8 @@
 
 Gradient ascent on the plug-in certified radius, reparameterized so one batch
 of standard noise draws serves every scale value: the objective is then a
-deterministic function of the scale, finite differences are exact secants of
-that realized function, and the best iterate can never fall below the start.
+deterministic function of the scale, the slope is a central secant of that
+realized function, and the best iterate can never fall below the start.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierHandle
-from .smoothing import (NOISE_UNIFORM, NoiseBatch, _pick, plugin_radii,
-                        proxy_radius, proxy_radius_l1)
-from .stats import P_CLAMP, clamp_probability, std_normal_pdf, std_normal_quantile
+from .smoothing import NoiseBatch, plugin_radii, proxy_radius, proxy_radius_l1
 
 __all__ = [
-    "GRAD_ANALYTIC",
     "GRAD_SCALAR_FD",
     "RETURN_FAITHFUL",
     "RETURN_BEST_ITERATE",
@@ -32,7 +29,6 @@ __all__ = [
     "proxy_radius_l1",
 ]
 
-GRAD_ANALYTIC = "analytic"
 GRAD_SCALAR_FD = "scalar_fd"
 
 RETURN_FAITHFUL = "faithful"
@@ -48,6 +44,8 @@ class SigmaOptConfig:
     starting radius under the shared noise batch. The start scale and the
     noise are ``optimize_sigma`` arguments: a campaign starts row i at its
     ``sigma0`` with noise from ``rng_for_input(cert.seed, i, STREAM_OPT)``.
+    ``grad_mode`` has one legal value, ``GRAD_SCALAR_FD``: the slope is the
+    central secant over sigma +- h, h = min(fd_step * max(1, sigma), sigma / 2).
     """
     step_alpha: float = 1e-4
     iters_k: int = 100
@@ -69,7 +67,7 @@ class SigmaOptConfig:
             raise ValueError(f"iters_k must be >= 0, got {self.iters_k}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.grad_mode not in (GRAD_ANALYTIC, GRAD_SCALAR_FD):
+        if self.grad_mode != GRAD_SCALAR_FD:
             raise ValueError(f"unknown grad mode {self.grad_mode!r}")
         if self.return_mode not in (RETURN_FAITHFUL, RETURN_BEST_ITERATE):
             raise ValueError(f"unknown return mode {self.return_mode!r}")
@@ -113,47 +111,15 @@ class SigmaTrace:
         return int(np.count_nonzero(np.diff(self.tops)))
 
 
-def _score(c, x, sigma: np.ndarray, noise: NoiseBatch, mode: str, fd_step: float,
+def _score(c, x, sigma: np.ndarray, noise: NoiseBatch, fd_step: float,
            slope: bool = True):
-    """Plug-in radius, top class and (if ``slope``) its scale derivative at sigma.
-
-    Elementwise over the inputs. The radius and both secant points come from
-    one ``plugin_radii`` call; the analytic slope adds one ``input_grads`` call.
-    """
+    """Plug-in radius, top class and (if ``slope``) its central secant at sigma,
+    elementwise over the inputs, from one ``plugin_radii`` call."""
     h = np.minimum(fd_step * np.maximum(1.0, sigma), 0.5 * sigma)
-    fd = slope and mode == GRAD_SCALAR_FD
-    scales = np.stack([sigma, sigma + h, sigma - h], axis=-1) if fd else sigma[..., None]
-    r, top, runner, psi = plugin_radii(c, x, scales, noise)
-    r0, a = r[..., 0], top[..., 0]
-    if not slope:
-        return r0, a, None
-    if fd:
-        return r0, a, (r[..., 1] - r[..., 2]) / (2.0 * h)
-    return r0, a, _analytic_slope(c, x, sigma, noise, psi[..., 0, :], a, runner[..., 0])
-
-
-def _analytic_slope(c, x, sigma, noise, psi, a, b):
-    """Chain-rule slope from the means psi at sigma, top class a, runner-up b:
-    for L2, dR/ds = (Phi^{-1}(E_A) - Phi^{-1}(E_B)) / 2
-                   + s/2 * (E_A' / phi(Phi^{-1}(E_A)) - E_B' / phi(Phi^{-1}(E_B)))
-    with E_c' the mean of eps_i . grad f^c over the batch (a clamped mean
-    contributes zero slope); for L1, dR/ds = E_A - E_B + s * (E_A' - E_B').
-    """
-    pts = x[..., None, :] + sigma[..., None, None] * noise.draws
-    grads = c.input_grads(pts.reshape(-1, c.dim)).reshape(
-        pts.shape[:-1] + (c.num_classes, c.dim))  # (..., n, k, d)
-    eprime = np.einsum("...nd,...nkd->...k", noise.draws, grads) / len(noise)
-    pa, pb, ea, eb = _pick(psi, a), _pick(psi, b), _pick(eprime, a), _pick(eprime, b)
-    if noise.kind == NOISE_UNIFORM:
-        return (pa - pb) + sigma * (ea - eb)
-    za = std_normal_quantile(clamp_probability(pa))
-    zb = std_normal_quantile(clamp_probability(pb))
-
-    def term(p, z, e):  # a clamped mean contributes zero slope
-        inside = (P_CLAMP < p) & (p < 1.0 - P_CLAMP)
-        return np.where(inside, 0.5 * sigma * e / std_normal_pdf(z), 0.0)
-
-    return 0.5 * (za - zb) + term(pa, za, ea) - term(pb, zb, eb)
+    scales = np.stack([sigma, sigma + h, sigma - h], axis=-1) if slope else sigma[..., None]
+    r, top = plugin_radii(c, x, scales, noise)
+    g = (r[..., 1] - r[..., 2]) / (2.0 * h) if slope else None
+    return r[..., 0], top[..., 0], g
 
 
 def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
@@ -166,8 +132,8 @@ def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
     serves every input), which must be positive and finite; the start and
     every iterate are projected onto [sigma_min, sigma_max]. The trace shows
     top-class flips, and the norm follows the noise kind. Each iterate makes
-    one classifier call for the batch, plus one gradient call in analytic
-    mode. Returns (sigma_star, trace), or for a batch (B,) scales and traces.
+    one classifier call for the batch. Returns (sigma_star, trace), or for a
+    batch (B,) scales and traces.
     """
     x = np.asarray(x, dtype=float)
     start = np.broadcast_to(np.asarray(sigma0, dtype=float), x.shape[:-1])
@@ -176,8 +142,7 @@ def optimize_sigma(c: ClassifierHandle, x, cfg: SigmaOptConfig,
     sigma = np.clip(start, cfg.sigma_min, cfg.sigma_max)
     steps = []
     for k in range(cfg.iters_k + 1):
-        r, top, g = _score(c, x, sigma, noise, cfg.grad_mode, cfg.fd_step,
-                           slope=k < cfg.iters_k)
+        r, top, g = _score(c, x, sigma, noise, cfg.fd_step, slope=k < cfg.iters_k)
         steps.append((sigma, r, top))
         if g is not None:
             sigma = np.clip(sigma + cfg.step_alpha * g, cfg.sigma_min, cfg.sigma_max)

@@ -3,7 +3,8 @@
 Gaussian noise yields L2 certificates, coordinate-wise uniform noise yields
 L1 certificates. The plug-in radius used inside the scale optimizer lives
 here too; it shares the sampling conventions but is *not* a sound bound, and
-``plugin_radii`` scores it at many scales with one classifier call.
+``plugin_radii`` scores it and the top class at many scales with one
+classifier call.
 
 Sampling is counter-based: ``rng_for_input`` maps each (seed, input_index,
 stream) triple to an independent generator, a row voting on ``STREAM_CERT`` and
@@ -270,8 +271,8 @@ def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):
     is s/2 * (Phi^{-1}(E_A) - Phi^{-1}(E_B)) for gaussian noise (means
     clamped away from {0, 1} first) and s * (E_A - E_B) for uniform noise.
     Leading input axes broadcast: points (..., d), scales (..., S) and
-    draws (..., n, d) give (radii, top, runner) of shape (..., S) and means
-    (..., S, k). Ties in the means go to the lowest class.
+    draws (..., n, d) give (radii, top) of shape (..., S). Ties in the means
+    go to the lowest class.
     """
     x = np.asarray(x, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -286,9 +287,9 @@ def plugin_radii(c: ClassifierHandle, x, scales, noise: NoiseBatch):
     means = probs.mean(axis=-2)
     top, runner = _top_two(means)
     if noise.kind == NOISE_UNIFORM:
-        return scales * (_pick(means, top) - _pick(means, runner)), top, runner, means
+        return scales * (_pick(means, top) - _pick(means, runner)), top
     z = std_normal_quantile(clamp_probability(means))
-    return 0.5 * scales * (_pick(z, top) - _pick(z, runner)), top, runner, means
+    return 0.5 * scales * (_pick(z, top) - _pick(z, runner)), top
 
 
 def _pick(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -299,7 +300,7 @@ def _pick(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _one_scale(c, x, scale, noise, kind) -> tuple[float, int]:
     if noise.kind != kind:
         raise ValueError(f"expected {kind} noise, got {noise.kind}")
-    r, top, _, _ = plugin_radii(c, x, [scale], noise)
+    r, top = plugin_radii(c, x, [scale], noise)
     return float(r[0]), int(top[0])
 
 

@@ -73,11 +73,15 @@ class TestCertify:
         assert metrics["metrics"]["n_inputs"] == 8
         assert "ACR" in capsys.readouterr().out
 
-    def test_unknown_flag_is_usage_error(self, workspace):
+    # the secant is the one scale-ascent slope, so no flag chooses it
+    @pytest.mark.parametrize("flag", [["--frobnicate", "1"], ["--grad-mode", "scalar_fd"]],
+                             ids=["frobnicate", "grad_mode"])
+    def test_unknown_flag_is_usage_error(self, workspace, capsys, flag):
         tmp, data, clf = workspace
-        code = cli_main(certify_args(data, clf, tmp / "r.csv",
-                                     ["--frobnicate", "1"]))
+        code = cli_main(certify_args(data, clf, tmp / "r.csv", flag))
         assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli_main([]) == 2
@@ -375,10 +379,10 @@ class TestCertify:
         # every budget and ascent flag off its default pins each flag's field
         (["--n0", "50", "--n-cert", "300", "--alpha-fail", "0.01", "--seed", "5",
           "--alpha-step", "2e-4", "--iters", "7", "--n", "3", "--sigma-min", "0.01",
-          "--sigma-max", "1.5", "--grad-mode", "analytic", "--return-mode", "best_iterate"],
+          "--sigma-max", "1.5", "--return-mode", "best_iterate"],
          {"n0": 50, "n_cert": 300, "alpha_fail": 0.01, "seed": 5},
          {"step_alpha": 2e-4, "iters_k": 7, "n_samples": 3, "sigma_min": 0.01,
-          "sigma_max": 1.5, "grad_mode": "analytic", "return_mode": "best_iterate"}),
+          "sigma_max": 1.5, "return_mode": "best_iterate"}),
     ], ids=["some_flags", "all_flags"])
     def test_config_echoes_the_campaign_settings(self, workspace, flags, cert, opt):
         tmp, data, clf = workspace
@@ -390,7 +394,7 @@ class TestCertify:
         cfg = CampaignConfig(mode="ds", sigma0=0.25, cert=GaussianCertConfig(**cert),
                              opt=SigmaOptConfig(**opt))
         assert config == json.loads(json.dumps(asdict(cfg))) | {
-            "dataset": str(data), "classifier": str(clf)}
+            "dataset": os.path.abspath(data), "classifier": os.path.abspath(clf)}
         # every setting left out is the library default
         assert config["opt"] | config["cert"] == (
             asdict(SigmaOptConfig()) | asdict(GaussianCertConfig()) | opt | cert)
@@ -561,6 +565,25 @@ class TestOptimizeSigma:
             assert certification == (f"prediction={r['prediction']} p_lower={r['p_lower']} "
                                       f"radius={r['radius']}")
 
+    def test_relative_input_paths_replay_from_another_directory(self, workspace, capsys,
+                                                                monkeypatch):
+        tmp, data, clf = workspace
+        monkeypatch.chdir(tmp)
+        records, _ = finish_campaign(Path(), Path(data.name), Path(clf.name),
+                                     flags=["--iters", "5"])
+        metrics = tmp / "results.csv.metrics.json"
+        config = json.loads(metrics.read_text())["config"]
+        assert (config["dataset"], config["classifier"]) == (
+            os.path.join(os.getcwd(), data.name), os.path.join(os.getcwd(), clf.name))
+        (tmp / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp / "elsewhere")
+        code, out, err = replay(capsys, metrics, 0)
+        assert (code, err) == (0, "")
+        r = records[0]
+        assert out.splitlines()[-2].split()[0] == f"sigma_star={r['sigma_star']}"
+        assert out.splitlines()[-1] == (f"prediction={r['prediction']} "
+                                        f"p_lower={r['p_lower']} radius={r['radius']}")
+
 
 class TestOptimizeSigmaErrors:
     """A replay that cannot run exits 1 with a named error before any classifier call."""
@@ -590,6 +613,33 @@ class TestOptimizeSigmaErrors:
         gone.rename(tmp / "moved")
         assert replay(capsys, metrics, 0) == (
             1, "", f"error: --metrics: the campaign's {key} {gone} is not a file\n")
+
+    @pytest.mark.parametrize("key", ["dataset", "classifier"])
+    @pytest.mark.parametrize("value", [True, None, ["d.csv"]], ids=["true", "null", "list"])
+    def test_input_that_is_not_a_path(self, finished, capsys, key, value):
+        _, _, _, metrics = finished
+        self.edit_config(metrics, lambda payload: payload["config"].update({key: value}))
+        assert replay(capsys, metrics, 0) == (
+            1, "", f"error: --metrics: the campaign's {key} {value} is not a file\n")
+
+    @pytest.mark.parametrize("key", ["dataset", "classifier"])
+    def test_input_that_is_a_descriptor_number(self, finished, key):
+        # 0 names stdin to os.path.isfile and open; here stdin is that very file
+        tmp, data, clf, metrics = finished
+        self.edit_config(metrics, lambda payload: payload["config"].update({key: 0}))
+        with open({"dataset": data, "classifier": clf}[key], "rb") as stdin:
+            run = subprocess.run([sys.executable, "-m", "smoothcert", "optimize-sigma",
+                                  "--metrics", str(metrics), "--row", "0"],
+                                 stdin=stdin, env=src_env(), capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            1, "", f"error: --metrics: the campaign's {key} 0 is not a file\n")
+
+    def test_campaign_that_names_the_analytic_slope(self, finished, capsys):
+        # an older campaign may name the deleted chain-rule slope
+        _, _, _, metrics = finished
+        self.edit_config(metrics, lambda payload: payload["config"]["opt"].update(
+            grad_mode="analytic"))
+        assert replay(capsys, metrics, 0) == (1, "", "error: unknown grad mode 'analytic'\n")
 
     @pytest.mark.parametrize("edit,shown", [
         (lambda payload: payload.pop("config"), "KeyError('config')"),

@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from smoothcert import sigma_opt
 from smoothcert.classifiers import (ClassifierHandle,
-                                    DerivativeUnsupportedError,
                                     affine_softmax_classifier,
                                     constant_classifier,
                                     hard_halfspace_classifier,
                                     nested_ball_classifier,
                                     probit_halfspace_classifier)
-from smoothcert.sigma_opt import (GRAD_ANALYTIC, GRAD_SCALAR_FD,
-                                  RETURN_BEST_ITERATE, RETURN_FAITHFUL,
-                                  SigmaOptConfig, optimize_sigma)
+from smoothcert.sigma_opt import (GRAD_SCALAR_FD, RETURN_BEST_ITERATE,
+                                  RETURN_FAITHFUL, SigmaOptConfig, optimize_sigma)
 from smoothcert.smoothing import NoiseBatch, draw_noise, plugin_radii, proxy_radius
 from smoothcert.stats import clamp_probability, std_normal_quantile
 
@@ -64,6 +62,7 @@ class TestConfig:
         ({"iters_k": -1}, "iters_k must be >= 0, got -1"),
         ({"n_samples": 0}, "n_samples must be >= 1, got 0"),
         ({"return_mode": "last"}, "unknown return mode 'last'"),
+        ({"grad_mode": "analytic"}, "unknown grad mode 'analytic'"),
     ])
     def test_bad_settings_rejected(self, kw, message):
         with pytest.raises(ValueError) as info:
@@ -80,12 +79,14 @@ class TestConfig:
 
 class TestOptimizeSigma:
     def test_zero_iterations(self):
-        c = constant_classifier([0.8, 0.2], dim=2)
+        c, calls, points = counting(constant_classifier([0.8, 0.2], dim=2))
         cfg = SigmaOptConfig(iters_k=0, n_samples=10)
         sigma_star, trace = optimize_sigma(c, [0.0, 0.0], cfg, seeded_noise(cfg, 2, 1),
                                            0.4)
         assert sigma_star == 0.4
         assert len(trace) == 1
+        # the last iterate scores sigma alone: one call of n points, no secant
+        assert (calls["probs"], points["probs"]) == (1, 10)
 
     def test_trace_length_is_k_plus_one(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
@@ -162,23 +163,13 @@ class TestOptimizeSigma:
         for e in trace:
             assert cfg.sigma_min <= e.sigma <= cfg.sigma_max
 
-    @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 7)])
-    def test_one_probs_call_per_iterate(self, mode, grads):
+    def test_one_probs_call_per_iterate(self):
         c, calls, points = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
-        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=7, n_samples=5, grad_mode=mode)
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=7, n_samples=5)
         optimize_sigma(c, [0.6, 0.1], cfg, seeded_noise(cfg, 2, 4), 0.3)
-        assert calls == {"probs": 8, "grads": grads}
-        # K=7, n=5: scalar_fd scores 3Kn + n points; analytic scores (K+1)n
-        # points and takes Kn gradients
-        assert points == ({"probs": 110, "grads": 0} if mode == GRAD_SCALAR_FD
-                          else {"probs": 40, "grads": 35})
-
-    def test_zero_iterations_analytic_on_value_only(self):
-        c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        cfg = SigmaOptConfig(iters_k=0, n_samples=10, grad_mode=GRAD_ANALYTIC)
-        sigma_star, trace = optimize_sigma(c, [1.0, 0.0], cfg, seeded_noise(cfg, 2, 1),
-                                           0.4)
-        assert sigma_star == 0.4 and len(trace) == 1
+        assert calls == {"probs": 8, "grads": 0}
+        # K=7, n=5: K secant iterates of 3n points, then the last iterate's n
+        assert points == {"probs": 110, "grads": 0}
 
     def test_faithful_returns_last_iterate(self):
         c = nested_ball_classifier(1.0, dim=2)
@@ -195,7 +186,7 @@ class TestOptimizeSigma:
         n, m = 2000, 20
         noise = draw_noise(np.random.default_rng(6), n, 2)
         grid_pts = (1.0 / m) * np.arange(1, m + 1)
-        grid_radii, _, _, _ = plugin_radii(c, [0.0, 0.0], grid_pts, noise)
+        grid_radii, _ = plugin_radii(c, [0.0, 0.0], grid_pts, noise)
         s_grid = float(grid_pts[int(np.argmax(grid_radii))])
         cfg = SigmaOptConfig(step_alpha=0.01, iters_k=m, n_samples=n,
                              sigma_min=0.05, sigma_max=2.0,
@@ -216,21 +207,17 @@ BATCH_CLASSIFIERS = {
 
 
 class TestBatchedAscent:
-    @pytest.mark.parametrize("name,mode", [
-        (name, mode) for name in BATCH_CLASSIFIERS
-        for mode in (GRAD_SCALAR_FD, GRAD_ANALYTIC)
-        if not (name == "ball" and mode == GRAD_ANALYTIC)])  # ball: value-only
+    @pytest.mark.parametrize("name", list(BATCH_CLASSIFIERS))
     @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
     @pytest.mark.parametrize("ret", [RETURN_FAITHFUL, RETURN_BEST_ITERATE])
-    def test_batch_matches_lone_calls(self, name, mode, kind, ret):
+    def test_batch_matches_lone_calls(self, name, kind, ret):
         c = BATCH_CLASSIFIERS[name]()
         rng = np.random.default_rng(3)
         xs = rng.uniform(-1.5, 1.5, size=(7, 2))
         # carried start scales as train_batch passes them, some out of bounds
         starts = rng.uniform(0.02, 2.5, size=7)
         cfg = SigmaOptConfig(step_alpha=0.05, iters_k=12, n_samples=4,
-                             sigma_min=0.1, sigma_max=2.0, grad_mode=mode,
-                             return_mode=ret)
+                             sigma_min=0.1, sigma_max=2.0, return_mode=ret)
         noise = draw_noise(rng, 4, 2, kind, lead=(7,))
         stars, traces = optimize_sigma(c, xs, cfg, noise=noise, sigma0=starts)
         assert stars.shape == (7,) and len(traces) == 7
@@ -239,27 +226,17 @@ class TestBatchedAscent:
                                          noise=NoiseBatch(kind, noise.draws[i]),
                                          sigma0=float(np.clip(starts[i], 0.1, 2.0)))
             assert type(star) is float
-            if mode == GRAD_SCALAR_FD:
-                assert stars[i] == star
-                assert traces[i].entries == trace.entries
-                continue
-            assert stars[i] == pytest.approx(star, rel=1e-12, abs=0)
-            for a, b in zip(traces[i], trace):
-                assert a.top_class == b.top_class
-                assert a.sigma == pytest.approx(b.sigma, rel=1e-12, abs=0)
-                assert a.proxy_radius == pytest.approx(b.proxy_radius, rel=1e-12,
-                                                       abs=1e-300)
+            assert stars[i] == star
+            assert traces[i].entries == trace.entries
 
-    @pytest.mark.parametrize("mode,grads", [(GRAD_SCALAR_FD, 0), (GRAD_ANALYTIC, 5)])
-    def test_one_probs_call_per_iterate_for_the_batch(self, mode, grads):
+    def test_one_probs_call_per_iterate_for_the_batch(self):
         c, calls, points = counting(probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5))
-        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=5, n_samples=3, grad_mode=mode)
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=5, n_samples=3)
         optimize_sigma(c, np.zeros((9, 2)) + 0.5, cfg, seeded_noise(cfg, 2, lead=(9,)),
                        0.3)
-        assert calls == {"probs": 6, "grads": grads}
-        # K=5, n=3: the per-input budget, 3Kn + n or (K+1)n and Kn, times 9 inputs
-        assert points == ({"probs": 432, "grads": 0} if mode == GRAD_SCALAR_FD
-                          else {"probs": 162, "grads": 135})
+        assert calls == {"probs": 6, "grads": 0}
+        # K=5, n=3: the per-input budget, 3Kn + n, times 9 inputs
+        assert points == {"probs": 432, "grads": 0}
 
     def test_non_finite_start_scale_rejected(self):
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
@@ -286,19 +263,20 @@ class TestBatchedAscent:
         assert out[1].entries == at_bound[1].entries
 
 
-def grad_sigma(c, x, sigma, noise, mode, fd_step=1e-3) -> float:
+def grad_sigma(c, x, sigma, noise, fd_step=1e-3) -> float:
     """The scale slope the ascent takes at one point and one scale."""
     return float(sigma_opt._score(c, np.asarray(x, dtype=float), np.asarray(sigma),
-                                  noise, mode, fd_step)[2])
+                                  noise, fd_step)[2])
 
 
 class TestGradSigma:
     def test_constant_classifier_gradient_is_r_over_sigma(self):
+        # R is linear in sigma, so its secant is R / sigma up to rounding
         c = constant_classifier([0.9, 0.1], dim=2)
         noise = draw_noise(np.random.default_rng(3), 100, 2)
         sigma = 0.7
         r, _ = proxy_radius(c, [0.0, 0.0], sigma, noise)
-        g = grad_sigma(c, [0.0, 0.0], sigma, noise, GRAD_ANALYTIC)
+        g = grad_sigma(c, [0.0, 0.0], sigma, noise)
         assert g == pytest.approx(r / sigma, rel=1e-12)
         assert g >= 0.0
 
@@ -307,20 +285,9 @@ class TestGradSigma:
         # so a secant wide enough to span many vote flips is nearly flat
         c = hard_halfspace_classifier([1.0, 0.0], 0.0)
         noise = draw_noise(np.random.default_rng(8), 100_000, 2)
-        g = grad_sigma(c, [1.0, 0.0], 0.5, noise, GRAD_SCALAR_FD, fd_step=0.02)
+        g = grad_sigma(c, [1.0, 0.0], 0.5, noise, fd_step=0.02)
         naive_slope = 1.0 / 0.5  # slope if the quantile gap were constant
         assert abs(g) < 0.1 * naive_slope
-
-    def test_analytic_matches_fd_on_probit(self):
-        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
-        noise = draw_noise(np.random.default_rng(77), 2000, 2)
-        for sigma in (0.1, 0.3, 0.7, 1.0, 1.5):
-            ga = grad_sigma(c, [1.0, 0.0], sigma, noise, GRAD_ANALYTIC)
-            gf = grad_sigma(c, [1.0, 0.0], sigma, noise, GRAD_SCALAR_FD,
-                            fd_step=1e-4)
-            r, _ = proxy_radius(c, [1.0, 0.0], sigma, noise)
-            if abs(r) > 0.01:
-                assert ga == pytest.approx(gf, rel=1e-3)
 
     def test_clamped_means_contribute_zero_slope(self):
         # both means lie beyond the clamp, so the realized objective is sigma
@@ -328,13 +295,5 @@ class TestGradSigma:
         c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
         noise = draw_noise(np.random.default_rng(2), 2000, 2)
         r, _ = proxy_radius(c, [2.2, 0.0], 0.3, noise)
-        ga = grad_sigma(c, [2.2, 0.0], 0.3, noise, GRAD_ANALYTIC)
-        gf = grad_sigma(c, [2.2, 0.0], 0.3, noise, GRAD_SCALAR_FD, fd_step=1e-4)
-        assert ga == pytest.approx(r / 0.3, rel=1e-12)
-        assert gf == pytest.approx(r / 0.3, rel=1e-9)
-
-    def test_analytic_requires_derivatives(self):
-        c = hard_halfspace_classifier([1.0, 0.0], 0.0)
-        noise = draw_noise(np.random.default_rng(0), 10, 2)
-        with pytest.raises(DerivativeUnsupportedError):
-            grad_sigma(c, [1.0, 0.0], 0.5, noise, GRAD_ANALYTIC)
+        g = grad_sigma(c, [2.2, 0.0], 0.3, noise, fd_step=1e-4)
+        assert g == pytest.approx(r / 0.3, rel=1e-9)

@@ -432,7 +432,7 @@ class TestProxyRadius:
         for c in (probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5),
                   affine_softmax_classifier([[1.0, 0.3], [-0.5, 0.8], [0.2, -1.0]],
                                             [0.0, 0.1, -0.2])):
-            radii, top, _, _ = plugin_radii(c, x, scales, noise)
+            radii, top = plugin_radii(c, x, scales, noise)
             assert [(r, t) for r, t in zip(radii, top)] == [
                 one_scale(c, x, s, noise) for s in scales]
 
@@ -444,12 +444,11 @@ class TestProxyRadius:
         xs = rng.normal(size=(5, 2))
         scales = rng.uniform(0.1, 1.5, size=(5, 3))
         noise = draw_noise(rng, 8, 2, kind, lead=(5,))
-        radii, top, runner, means = plugin_radii(c, xs, scales, noise)
-        assert radii.shape == top.shape == runner.shape == (5, 3)
-        assert means.shape == (5, 3, 3)
+        radii, top = plugin_radii(c, xs, scales, noise)
+        assert radii.shape == top.shape == (5, 3)
         for i in range(5):
             one = plugin_radii(c, xs[i], scales[i], NoiseBatch(kind, noise.draws[i]))
-            for got, want in zip((radii[i], top[i], runner[i], means[i]), one):
+            for got, want in zip((radii[i], top[i]), one):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
