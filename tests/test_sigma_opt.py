@@ -171,6 +171,25 @@ class TestOptimizeSigma:
         # K=7, n=5: K secant iterates of 3n points, then the last iterate's n
         assert points == {"probs": 110, "grads": 0}
 
+    def test_value_only_classifier_ascends_without_derivatives(self):
+        # the secant needs only probabilities, so a hard classifier ascends
+        c, calls, points = counting(hard_halfspace_classifier([1.0, 0.0], 0.0))
+        cfg = SigmaOptConfig(step_alpha=0.05, iters_k=6, n_samples=40)
+        _, trace = optimize_sigma(c, [0.8, 0.0], cfg, seeded_noise(cfg, 2, 9), 0.4)
+        assert len(trace) == 7
+        assert calls == {"probs": 7, "grads": 0}
+        assert np.all(np.isfinite(trace.radii))
+
+    def test_wide_secant_at_sigma_min_keeps_its_probes_positive(self):
+        # fd_step far above sigma_min: h is capped at sigma / 2, so the lower
+        # probe sigma - h never reaches the zero scale plugin_radii rejects
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        cfg = SigmaOptConfig(step_alpha=0.01, iters_k=5, n_samples=20,
+                             sigma_min=1e-4, sigma_max=2.0, fd_step=0.5)
+        _, trace = optimize_sigma(c, [0.3, 0.2], cfg, seeded_noise(cfg, 2, 3), 1e-4)
+        assert trace[0].sigma == 1e-4
+        assert np.all(np.isfinite(trace.radii))
+
     def test_faithful_returns_last_iterate(self):
         c = nested_ball_classifier(1.0, dim=2)
         cfg = SigmaOptConfig(step_alpha=0.05, iters_k=60, n_samples=500,
@@ -279,6 +298,26 @@ class TestGradSigma:
         g = grad_sigma(c, [0.0, 0.0], sigma, noise)
         assert g == pytest.approx(r / sigma, rel=1e-12)
         assert g >= 0.0
+
+    def test_uniform_constant_classifier_gradient_is_r_over_sigma(self):
+        # uniform noise: R = sigma * (E_A - E_B) with means free of sigma
+        c = constant_classifier([0.7, 0.3], dim=2)
+        noise = draw_noise(np.random.default_rng(4), 100, 2, kind="uniform")
+        sigma = 0.9
+        r, _ = plugin_radii(c, [0.0, 0.0], [sigma], noise)
+        g = grad_sigma(c, [0.0, 0.0], sigma, noise)
+        assert r[0] == pytest.approx(0.4 * sigma, rel=1e-12)
+        assert g == pytest.approx(r[0] / sigma, rel=1e-9)
+
+    # each branch of h = min(fd_step * max(1, sigma), sigma / 2)
+    @pytest.mark.parametrize("sigma,h", [(0.5, 1e-3), (1.5, 1.5e-3), (1e-3, 5e-4)],
+                             ids=["fd_step", "relative", "half_sigma"])
+    def test_slope_is_the_central_secant_of_plugin_radii(self, sigma, h):
+        c = probit_halfspace_classifier([1.0, 0.0], 0.0, 0.5)
+        noise = draw_noise(np.random.default_rng(5), 500, 2)
+        r, _ = plugin_radii(c, [0.4, 0.1], [sigma, sigma + h, sigma - h], noise)
+        g = grad_sigma(c, [0.4, 0.1], sigma, noise, fd_step=1e-3)
+        assert g == (r[1] - r[2]) / (2.0 * h)
 
     def test_hard_margin_gradient_vanishes(self):
         # plug-in R for the hard halfspace equals the margin up to sampling,
